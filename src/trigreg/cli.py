@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -230,10 +231,13 @@ def _read_samples_csv(path: str):
             if len(row) < 2:
                 raise CliError("parse-error", f"{path}:{lineno}: expected two columns x,y")
             try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+                x, y = float(row[0]), float(row[1])
             except ValueError:
                 raise CliError("parse-error", f"{path}:{lineno}: non-numeric value") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise CliError("parse-error", f"{path}:{lineno}: non-finite value")
+            xs.append(x)
+            ys.append(y)
     n = len(xs)
     if n < 3 or n % 2 == 0:
         raise CliError("grid-error", f"need an odd number >= 3 of samples, got {n}")

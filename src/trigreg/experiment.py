@@ -33,15 +33,16 @@ import numpy as np
 from .grid import (
     TWO_PI,
     FourierCoefficients,
-    TrapezoidalGrid,
     analyze,
     basis_matrix,
     make_grid,
     uniform_eval_points,
+    uniform_projection,
 )
 from .penalty import laplace_penalty
 from .selection import (
     ParameterGrid,
+    RegularizationPath,
     SelectionError,
     parameter_grid,
     select_gcv,
@@ -308,32 +309,25 @@ def sweep(
         params = parameter_grid()
     clean = np.asarray(func(grid.nodes), dtype=float)
 
-    need_curve = emit_curves or "oracle" in strategies
+    # The L2 curves come from the closed-form path (Parseval on the evaluation
+    # grid); only the uniform errors need the dense basis product.
     eval_x = uniform_eval_points(eval_points)
     truth = np.asarray(func(eval_x), dtype=float)
-    eval_mat = basis_matrix(eval_x, degree) if need_curve or strategies else None
-    beta_sq = pen.beta**2
+    truth_coeffs, remainder = uniform_projection(truth, degree)
+    eval_mat = basis_matrix(eval_x, degree) if emit_curves or strategies else None
 
     rows = []
     for i, snr_db in enumerate(snr_levels):
         row_seed = _row_seed(seed, i)
         realization = add_noise_snr(clean, snr_db, row_seed)
-        c = analyze(realization.noisy, grid, degree).values
+        path = RegularizationPath.from_samples(realization.noisy, grid, degree, pen, params.lambdas)
+        l2_curve = path.l2_error(truth_coeffs, remainder)
 
-        l2_curve = uniform_curve = None
-        if need_curve:
-            shrink = 1.0 + np.multiply.outer(beta_sq, params.lambdas)
-            diff = eval_mat @ (c[:, None] / shrink) - truth[:, None]
-            l2_curve = np.sqrt(TWO_PI / eval_points * np.einsum("jt,jt->t", diff, diff))
-            uniform_curve = np.abs(diff).max(axis=0)
-
-        def errors_at(idx: int) -> tuple[float, float]:
-            alpha = c / (1.0 + params.lambdas[idx] * beta_sq)
-            diff = eval_mat @ alpha - truth
-            return (
-                float(np.sqrt(TWO_PI / eval_points * np.dot(diff, diff))),
-                float(np.max(np.abs(diff))),
-            )
+        uniform_curve = None
+        if emit_curves:
+            diff = eval_mat @ path.alpha()
+            diff -= truth[:, None]
+            uniform_curve = np.abs(diff, out=diff).max(axis=0)
 
         chosen, chosen_index, l2_by, uniform_by, messages = {}, {}, {}, {}, {}
         assumption_ok = None
@@ -374,11 +368,12 @@ def sweep(
                 continue
             chosen[strategy] = lam
             chosen_index[strategy] = idx
-            if l2_curve is not None:
-                l2_by[strategy] = float(l2_curve[idx])
+            l2_by[strategy] = float(l2_curve[idx])
+            if uniform_curve is not None:
                 uniform_by[strategy] = float(uniform_curve[idx])
             else:
-                l2_by[strategy], uniform_by[strategy] = errors_at(idx)
+                diff = eval_mat @ path.alpha(lam) - truth
+                uniform_by[strategy] = float(np.max(np.abs(diff)))
         rows.append(
             SweepRow(
                 snr_db=float(snr_db),

@@ -10,9 +10,12 @@ degree <= N-1 exactly, so the normalized basis
 
 is orthonormal under the induced discrete inner product whenever
 2*degree + 1 <= N.  Fourier analysis of sampled data is then a plain weighted
-matrix-vector product; coefficients are computed by direct O(N*degree)
-summation rather than an FFT, which is trivially fast at the grid sizes this
-package targets and keeps the summation order fixed and reproducible.
+matrix-vector product; :func:`analyze` computes coefficients by direct
+O(N*degree) summation, which is fast at the grid sizes this package targets
+and keeps the summation order fixed and reproducible.  Projecting a function
+sampled on a K-point evaluation grid (:func:`uniform_projection`, used for
+the oracle error curves) takes one real FFT instead, because K is large and
+the same function is projected for every lambda.
 
 Every angle is reduced into [-pi, pi) before basis evaluation, so callers may
 pass arbitrary real angles.
@@ -41,6 +44,7 @@ __all__ = [
     "weighted_norm",
     "analyze",
     "synthesize",
+    "uniform_projection",
 ]
 
 
@@ -205,12 +209,22 @@ class FourierCoefficients:
         return synthesize(self, points)
 
 
+def _require_finite(values: np.ndarray, what: str):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{what} must be finite: {bad.size} non-finite value(s), the first "
+            f"{values[bad[0]]!r} at index {bad[0]}"
+        )
+
+
 def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
     """Discrete Fourier coefficients <samples, Y(ell,k)>_N of sampled data.
 
     Requires 2*degree + 1 <= N so the quadrature underlying the inner product
     stays exact on products of basis modes (otherwise aliasing would corrupt
-    every coefficient).
+    every coefficient), and finite samples: a NaN or inf would spread into
+    every coefficient and every diagnostic derived from them.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
@@ -224,6 +238,7 @@ def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
             f"degree {degree} too high for {grid.n_points} nodes: need "
             f"2*degree + 1 <= n_points for exact quadrature"
         )
+    _require_finite(samples, "samples")
     mat = basis_matrix(grid.nodes, degree)
     values = grid.weight * (mat.T @ samples)
     return FourierCoefficients(degree=degree, values=values, n_points=grid.n_points)
@@ -234,3 +249,42 @@ def synthesize(coeffs: FourierCoefficients, points):
     scalar = np.ndim(points) == 0
     out = basis_matrix(points, coeffs.degree) @ coeffs.values
     return float(out[0]) if scalar else out
+
+
+def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
+    """Project values sampled at ``uniform_eval_points(K)`` onto degree ``degree``.
+
+    Returns the coefficients <values, Y(ell,k)>_K in canonical order and the
+    squared remainder ||values - P_L values||_K**2 under the K-point weight
+    2*pi/K.  Any K >= 2*degree + 1 works, even K included, because the
+    basis is orthonormal on every such grid.  One real FFT gives both
+    (Cooley and Tukey, 1965): the points start at -pi, so
+    cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/K) and likewise for sin, and
+    each coefficient is a signed real or imaginary part of bin ell.  The
+    remainder is the norm of the literal residual vector, synthesized from
+    the bins above the degree; it is never formed as
+    ||values||**2 - ||coefficients||**2, which cancels catastrophically when
+    the projection captures nearly everything.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-d vector of samples, got shape {values.shape}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    k = values.size
+    if 2 * degree + 1 > k:
+        raise ValueError(
+            f"degree {degree} too high for {k} evaluation points: need "
+            f"2*degree + 1 <= points"
+        )
+    _require_finite(values, "values")
+    spec = np.fft.rfft(values)
+    scale = TWO_PI / k
+    phase = np.where(np.arange(1, degree + 1) % 2 == 0, 1.0, -1.0)
+    coeffs = np.empty(2 * degree + 1)
+    coeffs[0] = scale * spec[0].real / np.sqrt(TWO_PI)
+    coeffs[1::2] = scale / np.sqrt(np.pi) * phase * spec[1 : degree + 1].real
+    coeffs[2::2] = -scale / np.sqrt(np.pi) * phase * spec[1 : degree + 1].imag
+    spec[: degree + 1] = 0.0
+    rest = np.fft.irfft(spec, n=k)
+    return coeffs, scale * float(np.dot(rest, rest))

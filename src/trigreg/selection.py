@@ -20,15 +20,16 @@ barycentric evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import (
-    TWO_PI,
     TrapezoidalGrid,
     analyze,
-    basis_matrix,
+    synthesize,
     uniform_eval_points,
+    uniform_projection,
     weighted_norm,
 )
 from .penalty import PenaltySequence
@@ -38,6 +39,7 @@ __all__ = [
     "GridExhaustedError",
     "InapplicableStrategyError",
     "ParameterGrid",
+    "RegularizationPath",
     "SelectionReport",
     "parameter_grid",
     "residual_sq",
@@ -147,25 +149,134 @@ def _check_problem(grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence)
 
 
 # ---------------------------------------------------------------------------
-# Per-lambda diagnostics.  The scalar forms below are the reference
-# definitions; scans over a whole ParameterGrid use the vectorized helpers.
+# Per-lambda diagnostics.  Every one is a closed form in the coefficients of
+# the samples, held by RegularizationPath; the scalar functions below are
+# thin views of it.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegularizationPath:
+    """Closed-form diagnostics of the regularized solve along a lambda path.
+
+    The solve shrinks each discrete Fourier coefficient c of the samples by
+    s = 1/(1 + lam*beta**2).  With w = lam*beta**2 * s (that is 1 - s,
+    formed without the cancellation), every diagnostic is a sum over modes:
+
+        J(lam)  = r0 + sum (w*c)**2           weighted squared node residual
+        J'(lam) = -lam * K'(lam)
+        K(lam)  = sum beta**2 * s**2 * c**2   squared smoothness seminorm
+        K'(lam) = -2 * sum beta**4 * s**3 * c**2
+
+    ``r0`` = ||f - P_L f||_N**2 is the part of the samples that no degree-L
+    polynomial reaches.  It is exactly 0 on an interpolatory grid
+    (N = 2L + 1); otherwise :meth:`from_samples` takes it once from the
+    literal node residual of the unshrunk fit, never as ||f||**2 - ||c||**2,
+    which cancels catastrophically.
+
+    ``lambdas`` is a scalar or a 1-d array, and each diagnostic comes back
+    as a float or an array of that length.  :meth:`residual_sq` and
+    :meth:`alpha` also take an explicit ``lam`` in place of ``lambdas``, for
+    the discrepancy bisection and for single solutions.  Each evaluation
+    costs O(L) per lambda, with no basis matrix.
+    """
+
+    coeffs: np.ndarray
+    beta_sq: np.ndarray
+    lambdas: np.ndarray | float
+    r0: float
+
+    @classmethod
+    def from_samples(
+        cls, samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lambdas
+    ) -> "RegularizationPath":
+        """Analyze the samples once and set up the path over ``lambdas``."""
+        _check_problem(grid, degree, penalty)
+        samples = np.asarray(samples, dtype=float)
+        coeffs = analyze(samples, grid, degree)
+        r0 = 0.0
+        if grid.n_points > 2 * degree + 1:
+            resid = synthesize(coeffs, grid.nodes) - samples
+            r0 = grid.weight * float(np.dot(resid, resid))
+        return cls(coeffs=coeffs.values, beta_sq=penalty.beta**2, lambdas=lambdas, r0=r0)
+
+    def _factors(self, lam):
+        """The shrink factors s and w, shape (2L+1,) or (2L+1, T)."""
+        if lam is None:
+            return self._path_factors
+        lam_bsq = np.multiply.outer(self.beta_sq, lam)
+        shrink = 1.0 / (1.0 + lam_bsq)
+        return shrink, lam_bsq * shrink
+
+    @cached_property
+    def _path_factors(self):
+        # built once: a scan reads J, K and K' over the same lambdas
+        return self._factors(self.lambdas)
+
+    @staticmethod
+    def _out(value):
+        return float(value) if np.ndim(value) == 0 else value
+
+    def alpha(self, lam=None):
+        """Regularized coefficients s*c, one column per lambda."""
+        shrink, _ = self._factors(lam)
+        return (shrink.T * self.coeffs).T
+
+    def residual_sq(self, lam=None):
+        """J: weighted squared node residual of the regularized solution."""
+        _, weight = self._factors(lam)
+        return self._out(self.r0 + self.coeffs**2 @ weight**2)
+
+    def penalty_sq(self):
+        """K: squared smoothness seminorm of the regularized solution."""
+        shrink, _ = self._path_factors
+        return self._out((self.beta_sq * self.coeffs**2) @ shrink**2)
+
+    def penalty_sq_prime(self):
+        """K': derivative of K in lambda (nonpositive)."""
+        shrink, _ = self._path_factors
+        return self._out(-2.0 * (self.beta_sq**2 * self.coeffs**2) @ shrink**3)
+
+    def residual_sq_prime(self):
+        """J': derivative of J in lambda, by the exchange identity J' = -lam*K'."""
+        return self._out(-self.lambdas * self.penalty_sq_prime())
+
+    def curvature(self):
+        """Signed L-curve curvature kappa at every lambda (see :func:`lcurve_curvature`)."""
+        return _curvature(self.residual_sq(), self.penalty_sq(), self.penalty_sq_prime(), self.lambdas)
+
+    def gcv(self):
+        """GCV score V = sum (w*c)**2 / (sum w)**2; valid on interpolatory grids only."""
+        _, weight = self._path_factors
+        return self._out(self.coeffs**2 @ weight**2 / weight.sum(axis=0) ** 2)
+
+    def l2_error(self, truth_coeffs, remainder: float):
+        """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
+
+        ``truth_coeffs`` (g) and ``remainder`` (r_K) come from
+        :func:`~trigreg.grid.uniform_projection` of the function on the
+        K-point evaluation grid.  By Parseval on that grid this equals
+        sqrt((2*pi/K) * sum (p - f)**2) whenever K >= 2L + 1.
+        """
+        diff = self.alpha().T - truth_coeffs
+        return self._out(np.sqrt(np.sum(diff * diff, axis=-1) + remainder))
+
+
+def _scalar_path(samples, grid, degree, penalty, lam) -> RegularizationPath:
+    if lam < 0:
+        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
+    return RegularizationPath.from_samples(samples, grid, degree, penalty, float(lam))
 
 
 def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
     """Weighted squared residual (2*pi/N) * sum_j (p_lam(x_j) - f_j)**2.
 
-    Computed literally at the nodes.  Strictly increasing in lam whenever any
-    penalized mode is active in the data.
+    Evaluated in closed form as r0 + sum_modes (lam*beta**2/(1+lam*beta**2))**2 * c**2,
+    where r0 is the residual no degree-L polynomial removes (0 when
+    N = 2*degree + 1; see :class:`RegularizationPath`).  Strictly increasing
+    in lam whenever any penalized mode is active in the data.
     """
-    if lam < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
-    _check_problem(grid, degree, penalty)
-    samples = np.asarray(samples, dtype=float)
-    coeffs = analyze(samples, grid, degree)
-    alpha = coeffs.values / (1.0 + lam * penalty.beta**2)
-    resid = basis_matrix(grid.nodes, degree) @ alpha - samples
-    return grid.weight * float(np.dot(resid, resid))
+    return _scalar_path(samples, grid, degree, penalty, lam).residual_sq()
 
 
 def penalty_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
@@ -175,24 +286,14 @@ def penalty_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequ
     Strictly decreasing in lam on the same condition that makes
     :func:`residual_sq` increasing.
     """
-    if lam < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
-    _check_problem(grid, degree, penalty)
-    c = analyze(samples, grid, degree).values
-    beta_sq = penalty.beta**2
-    return float(np.sum(beta_sq * c**2 / (1.0 + lam * beta_sq) ** 2))
+    return _scalar_path(samples, grid, degree, penalty, lam).penalty_sq()
 
 
 def residual_sq_prime(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
     """Closed-form derivative of :func:`residual_sq` with respect to lam:
     sum_modes 2*lam*beta**4/(1 + lam*beta**2)**3 * c**2 (nonnegative).
     """
-    if lam < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
-    _check_problem(grid, degree, penalty)
-    c = analyze(samples, grid, degree).values
-    beta_sq = penalty.beta**2
-    return float(np.sum(2.0 * lam * beta_sq**2 * c**2 / (1.0 + lam * beta_sq) ** 3))
+    return _scalar_path(samples, grid, degree, penalty, lam).residual_sq_prime()
 
 
 def penalty_sq_prime(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
@@ -201,30 +302,7 @@ def penalty_sq_prime(samples, grid: TrapezoidalGrid, degree: int, penalty: Penal
 
     Satisfies the exchange identity residual_sq' = -lam * penalty_sq'.
     """
-    if lam < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
-    _check_problem(grid, degree, penalty)
-    c = analyze(samples, grid, degree).values
-    beta_sq = penalty.beta**2
-    return -float(np.sum(2.0 * beta_sq**2 * c**2 / (1.0 + lam * beta_sq) ** 3))
-
-
-def _scan_tables(samples, grid, degree, penalty, lambdas):
-    """Vectorized per-lambda node residuals J, seminorms K and K' over a grid.
-
-    Returns (J, K, Kprime, coefficient vector).  Same definitions as the
-    scalar functions, one matrix product for the whole scan.
-    """
-    samples = np.asarray(samples, dtype=float)
-    c = analyze(samples, grid, degree).values
-    beta_sq = penalty.beta**2
-    shrink = 1.0 + np.multiply.outer(beta_sq, lambdas)  # (2L+1, T)
-    mat = basis_matrix(grid.nodes, degree)
-    resid = mat @ (c[:, None] / shrink) - samples[:, None]
-    j_vals = grid.weight * np.einsum("jt,jt->t", resid, resid)
-    k_vals = ((beta_sq * c**2)[:, None] / shrink**2).sum(axis=0)
-    kp_vals = -(2.0 * (beta_sq**2 * c**2)[:, None] / shrink**3).sum(axis=0)
-    return j_vals, k_vals, kp_vals, c
+    return _scalar_path(samples, grid, degree, penalty, lam).penalty_sq_prime()
 
 
 def lcurve_curvature(rho: float, eta: float, eta_prime: float, lam: float) -> float:
@@ -247,9 +325,13 @@ def lcurve_curvature(rho: float, eta: float, eta_prime: float, lam: float) -> fl
         raise ValueError(
             f"curvature undefined: seminorm derivative must be < 0, got {eta_prime}"
         )
+    return float(_curvature(rho, eta, eta_prime, lam))
+
+
+def _curvature(rho, eta, eta_prime, lam):
     num = lam * eta_prime * rho + rho * eta + lam**2 * eta_prime * eta
     den = (lam**2 * eta**2 + rho**2) ** 1.5
-    return float(rho * eta / abs(eta_prime) * num / den)
+    return rho * eta / np.abs(eta_prime) * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +367,13 @@ def select_morozov(
     """
     if noise_norm < 0:
         raise ValueError(f"noise norm must be >= 0, got {noise_norm}")
-    _check_problem(grid, degree, penalty)
     samples = np.asarray(samples, dtype=float)
     noise_sq = float(noise_norm) ** 2
 
-    j_vals, _, _, _ = _scan_tables(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    j_vals = path.residual_sq()
     f_vals = j_vals - noise_sq
-
-    def j_at(lam: float) -> float:
-        return residual_sq(samples, grid, degree, penalty, lam)
+    j_at = path.residual_sq  # closed form, O(degree) per bisection step
 
     j_zero = j_at(0.0)
     sigma = float(np.mean(samples))
@@ -374,9 +454,8 @@ def select_lcurve(
     params: ParameterGrid,
 ) -> SelectionReport:
     """L-curve corner: the grid lambda of maximal absolute curvature."""
-    _check_problem(grid, degree, penalty)
-    samples = np.asarray(samples, dtype=float)
-    j_vals, k_vals, kp_vals, c = _scan_tables(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    c = path.coeffs
     # Quadrature roundoff leaves ~1e-16 relics on the penalized modes even
     # for an exactly constant signal, so the eta = 0 test must be relative.
     seminorm = np.max(np.abs(penalty.beta * c), initial=0.0)
@@ -386,18 +465,15 @@ def select_lcurve(
             "L-curve is inapplicable: the penalized seminorm of the data is "
             "identically zero (nothing but the constant mode present)"
         )
-    lam = params.lambdas
-    num = lam * kp_vals * j_vals + j_vals * k_vals + lam**2 * kp_vals * k_vals
-    den = (lam**2 * k_vals**2 + j_vals**2) ** 1.5
-    kappa = j_vals * k_vals / np.abs(kp_vals) * num / den
+    kappa = path.curvature()
     idx = int(np.argmax(np.abs(kappa)))
     return SelectionReport(
         strategy="lcurve",
-        lambdas=lam,
-        chosen_lambda=float(lam[idx]),
+        lambdas=params.lambdas,
+        chosen_lambda=float(params.lambdas[idx]),
         chosen_index=idx,
-        residual_sq=j_vals,
-        penalty_sq=k_vals,
+        residual_sq=path.residual_sq(),
+        penalty_sq=path.penalty_sq(),
         curvature=kappa,
     )
 
@@ -431,13 +507,9 @@ def gcv_value(coeffs, penalty: PenaltySequence, lam: float) -> float:
         )
     if not lam > 0:
         raise ValueError(f"the GCV score is undefined at lam = {lam}; it needs lam > 0")
-    beta_sq = penalty.beta**2
-    weight = lam * beta_sq / (1.0 + lam * beta_sq)
-    trace = float(np.sum(weight))
-    if trace == 0.0:
+    if gcv_trace(penalty, lam) == 0.0:
         raise ValueError("the GCV score is undefined: the penalty traces to zero")
-    num = float(np.sum((weight * coeffs.values) ** 2))
-    return num / trace**2
+    return RegularizationPath(coeffs.values, penalty.beta**2, float(lam), 0.0).gcv()
 
 
 def gcv_trace(penalty: PenaltySequence, lam: float) -> float:
@@ -481,24 +553,17 @@ def select_gcv(
             "GCV selection requires the interpolatory setting "
             f"n_points = 2*degree + 1, got n_points = {grid.n_points}"
         )
-    samples = np.asarray(samples, dtype=float)
-    c = analyze(samples, grid, degree).values
-    if not np.any(c):
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    if not np.any(path.coeffs):
         raise InapplicableStrategyError(
             "GCV is inapplicable: all data coefficients are zero"
         )
-    beta_sq = penalty.beta**2
-    lam = params.lambdas
-    weight = np.multiply.outer(beta_sq, lam)
-    weight /= 1.0 + weight
-    num = ((weight * c[:, None]) ** 2).sum(axis=0)
-    trace = weight.sum(axis=0)
-    v_vals = num / trace**2
+    v_vals = path.gcv()
     idx = int(np.argmin(v_vals))
     return SelectionReport(
         strategy="gcv",
-        lambdas=lam,
-        chosen_lambda=float(lam[idx]),
+        lambdas=params.lambdas,
+        chosen_lambda=float(params.lambdas[idx]),
         chosen_index=idx,
         gcv=v_vals,
     )
@@ -516,19 +581,17 @@ def select_oracle(
     """Benchmark selector: minimize the true L2 error against a known function.
 
     The error is the discretized L2 distance sqrt((2*pi/K) * sum (p - f)**2)
-    on a K-point equidistant evaluation grid (K = ``eval_points``).
+    on a K-point equidistant evaluation grid (K = ``eval_points``), which
+    must resolve the approximant: K >= 2*degree + 1.  It is evaluated by
+    Parseval on that grid from one FFT of the function (see
+    :meth:`RegularizationPath.l2_error`), with no dense evaluation.
     """
     _check_problem(grid, degree, penalty)
     if eval_points < 1000:
         raise ValueError(f"eval_points must be >= 1000, got {eval_points}")
-    samples = np.asarray(samples, dtype=float)
-    c = analyze(samples, grid, degree).values
-    beta_sq = penalty.beta**2
-    shrink = 1.0 + np.multiply.outer(beta_sq, params.lambdas)
-    x = uniform_eval_points(eval_points)
-    truth = np.asarray(true_function(x), dtype=float)
-    diff = basis_matrix(x, degree) @ (c[:, None] / shrink) - truth[:, None]
-    errs = np.sqrt(TWO_PI / eval_points * np.einsum("jt,jt->t", diff, diff))
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    truth = np.asarray(true_function(uniform_eval_points(eval_points)), dtype=float)
+    errs = path.l2_error(*uniform_projection(truth, degree))
     idx = int(np.argmin(errs))
     return SelectionReport(
         strategy="oracle",

@@ -203,6 +203,36 @@ def test_input_csv_bad_number_reports_location(tmp_path, capsys):
     assert f"{path}:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_input_csv_non_finite_value_is_parse_error(tmp_path, capsys, bad):
+    # a NaN sample used to reach the selectors, where argmax/argmin on NaN
+    # vectors silently picked grid index 0 and the command exited 0
+    g = tr.make_grid(11)
+    values = np.sin(g.nodes).astype(object)
+    values[4] = bad
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes, values)
+    code = run_cli("select", "--input", str(path), "--strategy", "lcurve,gcv",
+                   "--output-dir", str(tmp_path))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse-error:")
+    assert f"{path}:6" in err  # header row, then sample 5 on line 6
+    assert not (tmp_path / "chosen.json").exists()
+
+
+def test_input_csv_shuffled_rows_are_grid_error(tmp_path, capsys):
+    # rows must follow the node order x_1 < ... < x_N; a permuted file is refused
+    g = tr.make_grid(11)
+    order = np.random.default_rng(0).permutation(11)
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes[order], np.sin(g.nodes)[order])
+    code = run_cli("approximate", "--input", str(path), "--lambda", "0.0",
+                   "--output-dir", str(tmp_path))
+    assert code == 4
+    assert "in that order" in capsys.readouterr().err
+
+
 def test_input_csv_missing_file_is_io_error(tmp_path, capsys):
     code = run_cli("approximate", "--input", str(tmp_path / "absent.csv"),
                    "--lambda", "0.0", "--output-dir", str(tmp_path))

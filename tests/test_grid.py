@@ -230,3 +230,55 @@ def test_synthesize_between_nodes_matches_direct_sum():
     x = np.array([0.123, -2.5, 3.0])
     direct = tr.basis_matrix(x, 4) @ c.values
     assert_allclose(tr.synthesize(c, x), direct, rtol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_analyze_rejects_non_finite_samples(bad):
+    g = tr.make_grid(9)
+    samples = np.sin(g.nodes)
+    samples[3] = bad
+    with pytest.raises(ValueError, match="finite.*index 3"):
+        tr.analyze(samples, g, 4)
+
+
+# ---------------------------------------------------------------------------
+# projection on a K-point evaluation grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [13, 14, 1000, 1001])
+def test_uniform_projection_matches_direct_sums(k):
+    """rfft coefficients and remainder agree with the dense basis on odd and even K."""
+    degree = 6
+    x = tr.uniform_eval_points(k)
+    values = np.exp(np.cos(x)) + np.sign(np.sin(3 * x)) + 0.3 * x
+    coeffs, remainder = tr.uniform_projection(values, degree)
+    mat = tr.basis_matrix(x, degree)
+    direct = (2 * np.pi / k) * (mat.T @ values)
+    assert_allclose(coeffs, direct, rtol=0, atol=1e-13 * np.max(np.abs(direct)))
+    rest = values - mat @ direct
+    assert remainder == pytest.approx((2 * np.pi / k) * np.dot(rest, rest), rel=1e-12)
+
+
+def test_uniform_projection_agrees_with_analyze_on_odd_grid():
+    g = tr.make_grid(21)
+    values = tr.gallery("sawtooth")(g.nodes)
+    coeffs, _ = tr.uniform_projection(values, 10)
+    assert_allclose(coeffs, tr.analyze(values, g, 10).values, rtol=0, atol=1e-14)
+
+
+def test_uniform_projection_remainder_vanishes_on_resolved_polynomial():
+    x = tr.uniform_eval_points(16)
+    values = 2.0 + np.cos(3 * x) - 0.5 * np.sin(7 * x)
+    coeffs, remainder = tr.uniform_projection(values, 7)
+    assert remainder < 1e-28
+    assert tr.FourierCoefficients(7, coeffs, 16).coefficient(7, 2) == pytest.approx(
+        -0.5 * math.sqrt(math.pi), rel=1e-13
+    )
+
+
+def test_uniform_projection_needs_resolving_grid():
+    with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
+        tr.uniform_projection(np.ones(12), 6)
+    with pytest.raises(ValueError, match="finite"):
+        tr.uniform_projection(np.array([1.0, np.nan, 2.0]), 1)

@@ -93,6 +93,50 @@ def test_residual_matches_literal_node_sum():
         assert tr.residual_sq(samples, g, 4, pen, lam) == pytest.approx(brute, abs=1e-14)
 
 
+def test_residual_matches_literal_node_sum_off_interpolation():
+    """N > 2L + 1: the closed form carries the projection remainder r0 > 0."""
+    g = tr.make_grid(31)
+    rng = np.random.default_rng(5)
+    samples = np.exp(np.cos(g.nodes)) + np.sign(np.sin(g.nodes)) + 0.1 * rng.standard_normal(31)
+    pen = tr.laplace_penalty(6)
+    params = tr.parameter_grid(t_max=60)
+    path = tr.RegularizationPath.from_samples(samples, g, 6, pen, params.lambdas)
+    fit = tr.solve(samples, g, 6, 0.0, pen)
+    assert path.r0 == pytest.approx(g.weight * np.sum((fit(g.nodes) - samples) ** 2), rel=1e-13)
+    assert path.r0 > 0.1
+    for lam in (0.0, 0.03, 0.2, 1.7, 40.0):
+        approx = tr.solve(samples, g, 6, lam, pen)
+        brute = g.weight * np.sum((approx(g.nodes) - samples) ** 2)
+        assert tr.residual_sq(samples, g, 6, pen, lam) == pytest.approx(brute, rel=1e-13)
+    # the vectorized scan gives the same values as the scalar wrapper
+    j_scan = path.residual_sq()
+    for k in (0, 17, 59):
+        lam = params.lambdas[k]
+        assert j_scan[k] == pytest.approx(tr.residual_sq(samples, g, 6, pen, lam), rel=1e-14)
+
+
+def test_path_interpolatory_remainder_is_exactly_zero():
+    g = tr.make_grid(13)
+    samples = np.random.default_rng(1).standard_normal(13)
+    path = tr.RegularizationPath.from_samples(samples, g, 6, tr.laplace_penalty(6), 0.5)
+    assert path.r0 == 0.0
+    assert path.residual_sq(0.0) == 0.0
+    assert isinstance(path.residual_sq(), float)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_selectors_reject_non_finite_samples(bad):
+    g = tr.make_grid(11)
+    samples = np.sin(g.nodes)
+    samples[2] = bad
+    pen, params = tr.laplace_penalty(5), tr.parameter_grid(t_max=20)
+    for select in (tr.select_lcurve, tr.select_gcv):
+        with pytest.raises(ValueError, match="finite"):
+            select(samples, g, 5, pen, params)
+    with pytest.raises(ValueError, match="finite"):
+        tr.select_morozov(samples, g, 5, pen, params, 0.1)
+
+
 def test_exchange_identity_between_derivatives():
     g = tr.make_grid(11)
     rng = np.random.default_rng(8)
@@ -368,6 +412,29 @@ def test_oracle_minimizes_true_error():
     assert rep.l2_error[k] == pytest.approx(
         tr.l2_error(approx, tr.gallery("f1"), eval_points=2000), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("eval_points", [10000, 2001])
+def test_oracle_curve_matches_dense_l2_error(eval_points):
+    """The Parseval curve equals the dense metric on even and odd K."""
+    g = tr.make_grid(101)
+    f = tr.gallery("square")
+    noisy = tr.add_noise_snr(f(g.nodes), 30.0, 9).noisy
+    pen = tr.laplace_penalty(50)
+    params = tr.parameter_grid()
+    rep = tr.select_oracle(noisy, g, 50, pen, params, f, eval_points=eval_points)
+    for k in (0, 40, rep.chosen_index, 250, 399):
+        approx = tr.solve(noisy, g, 50, params.lambdas[k], pen)
+        dense = tr.l2_error(approx, f, eval_points=eval_points)
+        assert rep.l2_error[k] == pytest.approx(dense, rel=1e-10)
+
+
+def test_oracle_needs_eval_grid_that_resolves_the_degree():
+    g = tr.make_grid(1201)
+    samples = np.cos(g.nodes)
+    with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
+        tr.select_oracle(samples, g, 600, tr.laplace_penalty(600), tr.parameter_grid(t_max=5),
+                         np.cos, eval_points=1000)
 
 
 def test_selection_rejects_constant_form_penalty_everywhere(single_mode):
