@@ -5,131 +5,25 @@ penalized least squares in an orthonormal trigonometric basis, with
 closed-form solves, diagnostics, and automatic selection of the
 regularization parameter (discrepancy principle, L-curve, GCV, oracle)
 plus a seeded experiment harness and a command-line interface.
+
+The package exports the public names of its modules; each module's
+``__all__`` is the one list of them.
 """
 
-from .approximant import (
-    RegularizedApproximant,
-    condition_number,
-    evaluate,
-    evaluate_barycentric,
-    lebesgue_bound,
-    solve,
-    stability_constant,
-)
-from .experiment import (
-    NoisyRealization,
-    SweepReport,
-    SweepRow,
-    add_noise_snr,
-    gallery,
-    gallery_names,
-    l2_error,
-    sweep,
-    uniform_error,
-    vallee_poussin,
-    vallee_poussin_filter,
-)
-from .grid import (
-    FourierCoefficients,
-    HarmonicIndex,
-    TrapezoidalGrid,
-    analyze,
-    basis_matrix,
-    discrete_inner,
-    eval_harmonic,
-    harmonic_indices,
-    make_grid,
-    reduce_angle,
-    synthesize,
-    uniform_eval_points,
-    uniform_projection,
-    weighted_norm,
-)
-from .penalty import (
-    PenaltySequence,
-    constant_penalty,
-    laplace_penalty,
-    sobolev_norm_truncated,
-)
-from .selection import (
-    GridExhaustedError,
-    InapplicableStrategyError,
-    ParameterGrid,
-    RegularizationPath,
-    SelectionError,
-    SelectionReport,
-    gcv_bounds,
-    gcv_trace,
-    gcv_value,
-    lcurve_curvature,
-    parameter_grid,
-    penalty_sq,
-    penalty_sq_prime,
-    residual_sq,
-    residual_sq_prime,
-    select_gcv,
-    select_lcurve,
-    select_morozov,
-    select_oracle,
-)
+from . import approximant, experiment, grid, penalty, selection
+from .approximant import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .penalty import *  # noqa: F403
+from .selection import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RegularizedApproximant",
-    "condition_number",
-    "evaluate",
-    "evaluate_barycentric",
-    "lebesgue_bound",
-    "solve",
-    "stability_constant",
-    "NoisyRealization",
-    "SweepReport",
-    "SweepRow",
-    "add_noise_snr",
-    "gallery",
-    "gallery_names",
-    "l2_error",
-    "sweep",
-    "uniform_error",
-    "vallee_poussin",
-    "vallee_poussin_filter",
-    "FourierCoefficients",
-    "HarmonicIndex",
-    "TrapezoidalGrid",
-    "analyze",
-    "basis_matrix",
-    "discrete_inner",
-    "eval_harmonic",
-    "harmonic_indices",
-    "make_grid",
-    "reduce_angle",
-    "synthesize",
-    "uniform_eval_points",
-    "uniform_projection",
-    "weighted_norm",
-    "PenaltySequence",
-    "constant_penalty",
-    "laplace_penalty",
-    "sobolev_norm_truncated",
-    "GridExhaustedError",
-    "InapplicableStrategyError",
-    "ParameterGrid",
-    "RegularizationPath",
-    "SelectionError",
-    "SelectionReport",
-    "gcv_bounds",
-    "gcv_trace",
-    "gcv_value",
-    "lcurve_curvature",
-    "parameter_grid",
-    "penalty_sq",
-    "penalty_sq_prime",
-    "residual_sq",
-    "residual_sq_prime",
-    "select_gcv",
-    "select_lcurve",
-    "select_morozov",
-    "select_oracle",
+    *approximant.__all__,
+    *experiment.__all__,
+    *grid.__all__,
+    *penalty.__all__,
+    *selection.__all__,
     "__version__",
 ]

@@ -26,8 +26,8 @@ import numpy as np
 from .grid import (
     FourierCoefficients,
     TrapezoidalGrid,
+    _require_finite,
     analyze,
-    basis_matrix,
     reduce_angle,
     synthesize,
 )
@@ -83,7 +83,7 @@ def solve(
     2*degree + 1 <= N.  All-zero coefficient data is allowed but flagged on
     the result.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
     if penalty.degree != degree:
         raise ValueError(
@@ -129,15 +129,16 @@ def evaluate_barycentric(samples, grid: TrapezoidalGrid, lam: float, tau: float,
     Points within 1e-12 of a node (as circle distance) receive the exact
     limit value f_j / (1 + lam*tau).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"constant weight tau must be >= 0, got {tau}")
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
         raise ValueError(
             f"expected {grid.n_points} samples on the grid, got shape {samples.shape}"
         )
+    _require_finite(samples, "samples")
     scalar = np.ndim(points) == 0
     x = np.atleast_1d(reduce_angle(np.asarray(points, dtype=float)))
 
@@ -162,7 +163,7 @@ def condition_number(lam: float, penalty: PenaltySequence) -> float:
     the ratio of its extreme entries.  It equals 1 at lam = 0 and for any
     constant-weight penalty, and never decreases as lam grows.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
     beta_sq = penalty.beta**2
     return (1.0 + lam * np.max(beta_sq)) / (1.0 + lam * np.min(beta_sq))
@@ -198,7 +199,7 @@ def lebesgue_bound(lam: float, penalty: PenaltySequence) -> float:
 
     Grows like the dimension at lam = 0 and decays toward 1 as lam -> inf.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
     rest_sq = penalty.beta[1:] ** 2
     return 1.0 + float(np.sum(np.sqrt(2.0) / (1.0 + lam * rest_sq)))

@@ -26,15 +26,13 @@ import numpy as np
 from . import __version__
 from .approximant import evaluate, solve
 from .experiment import add_noise_snr, gallery, l2_error, sweep
-from .grid import harmonic_indices, make_grid, uniform_eval_points
+from .grid import harmonic_indices, make_grid, uniform_eval_points, uniform_projection
 from .penalty import laplace_penalty
 from .selection import (
-    SelectionError,
+    STRATEGIES,
+    RegularizationPath,
     parameter_grid,
-    select_gcv,
-    select_lcurve,
-    select_morozov,
-    select_oracle,
+    run_strategies,
 )
 
 EXIT_CODES = {
@@ -45,7 +43,12 @@ EXIT_CODES = {
     "io-error": 6,
 }
 
-STRATEGIES = ("morozov", "lcurve", "gcv", "oracle")
+# What a strategy's missing input means on the command line.
+_MISSING_INPUT = {
+    "noise_norm": "morozov needs the noise size: pass --noise-norm or synthesize "
+                  "noise with --snr-db/--seed",
+    "truth": "oracle strategy needs a --gallery truth signal",
+}
 
 # report.csv column -> strategy key
 REPORT_COLUMNS = (("opt", "oracle"), ("corner", "lcurve"), ("mor", "morozov"), ("gcv", "gcv"))
@@ -165,9 +168,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise CliError("config-error", "--n is required with --gallery")
     if cfg.n is not None and (cfg.n < 3 or cfg.n % 2 == 0):
         raise CliError("config-error", f"--n must be an odd integer >= 3, got {cfg.n}")
-    if cfg.lam is not None and cfg.lam < 0:
+    if cfg.lam is not None and not cfg.lam >= 0:
         raise CliError("config-error", f"--lambda must be >= 0, got {cfg.lam}")
-    if cfg.noise_norm is not None and cfg.noise_norm < 0:
+    if cfg.noise_norm is not None and not cfg.noise_norm >= 0:
         raise CliError("config-error", f"--noise-norm must be >= 0, got {cfg.noise_norm}")
     if cfg.eval_points < 1000:
         raise CliError("config-error", f"--eval-points must be >= 1000, got {cfg.eval_points}")
@@ -202,7 +205,7 @@ def _parse_strategies(cfg: RunConfig, allow_manual: bool) -> list[str]:
     if "all" in names:
         names = list(STRATEGIES)
     for name in names:
-        if name not in STRATEGIES + ("manual",):
+        if name not in STRATEGIES and name != "manual":
             raise CliError("config-error", f"unknown strategy {name!r}")
         if name == "manual" and not allow_manual:
             raise CliError("config-error", "strategy 'manual' only applies to approximate")
@@ -334,33 +337,32 @@ def _resolve_noise_norm(cfg: RunConfig, realization):
     return None
 
 
-def _run_strategy(name, samples, grid, degree, pen, params, cfg, func, realization):
-    """Run one named strategy; returns its SelectionReport (raises CliError)."""
-    if name == "morozov":
-        noise_norm = _resolve_noise_norm(cfg, realization)
-        if noise_norm is None:
-            raise CliError(
-                "config-error",
-                "morozov needs the noise size: pass --noise-norm or synthesize "
-                "noise with --snr-db/--seed",
-            )
-        report = select_morozov(samples, grid, degree, pen, params, noise_norm)
-        if report.chosen_lambda is None:
-            raise CliError(
-                "strategy-error",
-                "morozov noise assumption violated: the noise norm does not separate "
-                "the full-degree residual from the residual of the node mean",
-            )
-        return report
-    if name == "lcurve":
-        return select_lcurve(samples, grid, degree, pen, params)
-    if name == "gcv":
-        return select_gcv(samples, grid, degree, pen, params)
-    if name == "oracle":
-        if func is None:
-            raise CliError("config-error", "oracle strategy needs a --gallery truth signal")
-        return select_oracle(samples, grid, degree, pen, params, func, cfg.eval_points)
-    raise CliError("config-error", f"unknown strategy {name!r}")
+def _run_named(names, cfg, grid, degree, pen, params, samples, func, realization):
+    """Run the named strategies on one shared path of the samples.
+
+    Returns ``(reports, failures)`` as :func:`run_strategies` does, where
+    failures also hold the strategies whose input is missing.  A single
+    named strategy that fails raises CliError instead: config-error when
+    its input is missing, strategy-error otherwise.
+    """
+    inputs = {"noise_norm": _resolve_noise_norm(cfg, realization), "truth": None}
+    if func is not None and "oracle" in names:
+        truth = np.asarray(func(uniform_eval_points(cfg.eval_points)), dtype=float)
+        inputs["truth"] = uniform_projection(truth, degree)
+    missing = {}
+    for name in names:
+        need = STRATEGIES[name].needs
+        if need and inputs[need] is None:
+            missing[name] = _MISSING_INPUT[need]
+    if missing and len(names) == 1:
+        raise CliError("config-error", missing[names[0]])
+    path = RegularizationPath.from_samples(samples, grid, degree, pen, params.lambdas)
+    reports, failures = run_strategies(
+        path, params, [name for name in names if name not in missing], **inputs
+    )
+    if failures and len(names) == 1:
+        raise CliError("strategy-error", failures[names[0]])
+    return reports, {**missing, **failures}
 
 
 def _diagnostics_rows(params, reports: dict):
@@ -412,17 +414,14 @@ def cmd_approximate(cfg: RunConfig) -> int:
         raise CliError("config-error", "approximate takes a single --strategy")
     strategy = names[0]
 
-    report = None
+    reports = {}
     if strategy == "manual":
         if cfg.lam is None:
             raise CliError("config-error", "--strategy manual needs --lambda")
         lam = cfg.lam
     else:
-        try:
-            report = _run_strategy(strategy, samples, grid, degree, pen, params, cfg, func, realization)
-        except SelectionError as exc:
-            raise CliError("strategy-error", str(exc)) from None
-        lam = report.chosen_lambda
+        reports, _ = _run_named(names, cfg, grid, degree, pen, params, samples, func, realization)
+        lam = reports[strategy].chosen_lambda
 
     approx = solve(samples, grid, degree, lam, pen)
     meta = _metadata(
@@ -450,12 +449,12 @@ def cmd_approximate(cfg: RunConfig) -> int:
     values = evaluate(approx, x)
     _write_csv(eval_path, meta, ["x", "p"], zip(x, values))
     outputs = [coeff_path, eval_path]
-    if report is not None:
+    if reports:
         diag_path = os.path.join(outdir, "diagnostics.csv")
         _write_csv(
             diag_path, meta,
             ["lambda", "J", "K", "kappa", "V", "F"],
-            _diagnostics_rows(params, {strategy: report}),
+            _diagnostics_rows(params, reports),
         )
         outputs.append(diag_path)
 
@@ -490,19 +489,8 @@ def cmd_select(cfg: RunConfig) -> int:
     params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
     names = _parse_strategies(cfg, allow_manual=False)
 
-    reports, chosen, failures = {}, {}, {}
-    for name in names:
-        try:
-            report = _run_strategy(name, samples, grid, degree, pen, params, cfg, func, realization)
-        except (SelectionError, CliError) as exc:
-            if isinstance(exc, CliError) and exc.category == "config-error" and len(names) == 1:
-                raise
-            if len(names) == 1:
-                raise CliError("strategy-error", str(exc)) from None
-            failures[name] = str(exc)
-            continue
-        reports[name] = report
-        chosen[name] = _chosen_entry(report)
+    reports, failures = _run_named(names, cfg, grid, degree, pen, params, samples, func, realization)
+    chosen = {name: _chosen_entry(report) for name, report in reports.items()}
 
     meta = _metadata(
         cfg, grid, source,
@@ -613,9 +601,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, 1)
-    except SelectionError as exc:
-        print(f"error: strategy-error: {exc}", file=sys.stderr)
-        return EXIT_CODES["strategy-error"]
     except ValueError as exc:
         print(f"error: config-error: {exc}", file=sys.stderr)
         return EXIT_CODES["config-error"]

@@ -41,13 +41,11 @@ from .grid import (
 )
 from .penalty import laplace_penalty
 from .selection import (
+    STRATEGIES,
     ParameterGrid,
     RegularizationPath,
-    SelectionError,
     parameter_grid,
-    select_gcv,
-    select_lcurve,
-    select_morozov,
+    run_strategies,
 )
 
 __all__ = [
@@ -62,10 +60,7 @@ __all__ = [
     "vallee_poussin",
     "vallee_poussin_filter",
     "sweep",
-    "STRATEGY_NAMES",
 ]
-
-STRATEGY_NAMES = ("oracle", "lcurve", "morozov", "gcv")
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +229,12 @@ def vallee_poussin(f, n: int, quad_points: int) -> FourierCoefficients:
 class SweepRow:
     """One noise level: chosen lambdas, their errors, and failure notes.
 
-    All dictionaries are keyed by strategy name ("oracle", "lcurve",
-    "morozov", "gcv").  A strategy that failed has None entries and an
-    explanatory message.  ``curve`` optionally carries the per-lambda
-    (l2, uniform) error arrays over the parameter grid.
+    All dictionaries are keyed by strategy name (the keys of
+    :data:`~trigreg.selection.STRATEGIES`).  A strategy that failed has None
+    entries and an explanatory message.  ``assumption_ok`` tells whether
+    Morozov's noise assumption held (None when Morozov was not run).
+    ``curve`` optionally carries the per-lambda (l2, uniform) error arrays
+    over the parameter grid.
     """
 
     snr_db: float
@@ -277,7 +274,7 @@ def sweep(
     n_points: int,
     exponent_s: float = 1.0,
     snr_levels=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0),
-    strategies=STRATEGY_NAMES,
+    strategies=tuple(STRATEGIES),
     seed: int = 0,
     params: ParameterGrid | None = None,
     eval_points: int = 10000,
@@ -289,7 +286,9 @@ def sweep(
     (N-1)/2, i.e. the interpolatory setting, and every chosen lambda is a
     grid value (no bisection refinement) so rows stay comparable.  Identical
     arguments produce an identical report, bit for bit; each row draws its
-    noise from an independent stream derived from (seed, row index).
+    noise from an independent stream derived from (seed, row index).  Each
+    row analyzes its samples once and runs every strategy on that one path
+    (:func:`~trigreg.selection.run_strategies`).
     """
     if isinstance(function, str):
         name = function
@@ -297,11 +296,6 @@ def sweep(
     else:
         name = getattr(function, "__name__", "custom")
         func = function
-    unknown = [s for s in strategies if s not in STRATEGY_NAMES]
-    if unknown:
-        raise ValueError(
-            f"unknown strategies {unknown}; choose from {list(STRATEGY_NAMES)}"
-        )
     grid = make_grid(n_points)
     degree = (grid.n_points - 1) // 2
     pen = laplace_penalty(degree, exponent_s)
@@ -313,7 +307,7 @@ def sweep(
     # grid); only the uniform errors need the dense basis product.
     eval_x = uniform_eval_points(eval_points)
     truth = np.asarray(func(eval_x), dtype=float)
-    truth_coeffs, remainder = uniform_projection(truth, degree)
+    projected_truth = uniform_projection(truth, degree)
     eval_mat = basis_matrix(eval_x, degree) if emit_curves or strategies else None
 
     rows = []
@@ -321,7 +315,11 @@ def sweep(
         row_seed = _row_seed(seed, i)
         realization = add_noise_snr(clean, snr_db, row_seed)
         path = RegularizationPath.from_samples(realization.noisy, grid, degree, pen, params.lambdas)
-        l2_curve = path.l2_error(truth_coeffs, remainder)
+        reports, messages = run_strategies(
+            path, params, strategies,
+            noise_norm=realization.eps_wnorm, truth=projected_truth, refine=False,
+        )
+        l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*projected_truth)
 
         uniform_curve = None
         if emit_curves:
@@ -329,50 +327,16 @@ def sweep(
             diff -= truth[:, None]
             uniform_curve = np.abs(diff, out=diff).max(axis=0)
 
-        chosen, chosen_index, l2_by, uniform_by, messages = {}, {}, {}, {}, {}
-        assumption_ok = None
-        for strategy in strategies:
-            try:
-                if strategy == "oracle":
-                    idx = int(np.argmin(l2_curve))
-                    lam = float(params.lambdas[idx])
-                elif strategy == "lcurve":
-                    rep = select_lcurve(realization.noisy, grid, degree, pen, params)
-                    idx, lam = rep.chosen_index, rep.chosen_lambda
-                elif strategy == "gcv":
-                    rep = select_gcv(realization.noisy, grid, degree, pen, params)
-                    idx, lam = rep.chosen_index, rep.chosen_lambda
-                else:  # morozov
-                    rep = select_morozov(
-                        realization.noisy,
-                        grid,
-                        degree,
-                        pen,
-                        params,
-                        realization.eps_wnorm,
-                        refine=False,
-                    )
-                    assumption_ok = rep.assumption_ok
-                    if rep.chosen_lambda is None:
-                        raise SelectionError(
-                            "noise assumption violated: the noise norm does not "
-                            "separate the full-degree residual from the mean residual"
-                        )
-                    idx, lam = rep.chosen_index, rep.chosen_lambda
-            except SelectionError as exc:
-                chosen[strategy] = None
-                chosen_index[strategy] = None
-                l2_by[strategy] = None
-                uniform_by[strategy] = None
-                messages[strategy] = str(exc)
-                continue
-            chosen[strategy] = lam
-            chosen_index[strategy] = idx
+        # a failed strategy keeps None entries
+        chosen, chosen_index, l2_by, uniform_by = ({name: None for name in strategies} for _ in range(4))
+        for strategy, report in reports.items():
+            idx = chosen_index[strategy] = report.chosen_index
+            chosen[strategy] = report.chosen_lambda
             l2_by[strategy] = float(l2_curve[idx])
             if uniform_curve is not None:
                 uniform_by[strategy] = float(uniform_curve[idx])
             else:
-                diff = eval_mat @ path.alpha(lam) - truth
+                diff = eval_mat @ path.alpha(report.chosen_lambda) - truth
                 uniform_by[strategy] = float(np.max(np.abs(diff)))
         rows.append(
             SweepRow(
@@ -385,7 +349,7 @@ def sweep(
                 l2=l2_by,
                 uniform=uniform_by,
                 messages=messages,
-                assumption_ok=assumption_ok,
+                assumption_ok="morozov" in reports if "morozov" in strategies else None,
                 curve=(l2_curve, uniform_curve) if emit_curves else None,
             )
         )

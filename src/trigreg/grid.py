@@ -9,13 +9,17 @@ degree <= N-1 exactly, so the normalized basis
     Y(ell,1) = cos(ell*x)/sqrt(pi),   Y(ell,2) = sin(ell*x)/sqrt(pi),
 
 is orthonormal under the induced discrete inner product whenever
-2*degree + 1 <= N.  Fourier analysis of sampled data is then a plain weighted
-matrix-vector product; :func:`analyze` computes coefficients by direct
-O(N*degree) summation, which is fast at the grid sizes this package targets
-and keeps the summation order fixed and reproducible.  Projecting a function
-sampled on a K-point evaluation grid (:func:`uniform_projection`, used for
-the oracle error curves) takes one real FFT instead, because K is large and
-the same function is projected for every lambda.
+2*degree + 1 <= N.  Fourier analysis of equispaced samples is then a real
+DFT: the nodes start at -pi, so cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/N)
+and likewise for sin, and each coefficient is a signed real or imaginary part
+of one rfft bin (Cooley and Tukey, 1965).  :func:`uniform_projection` is the
+package's one projection routine: a single rfft gives the coefficients and
+the squared remainder ||f - P_L f||**2, in O(N log N) time and O(N) memory,
+on the sample grid (:func:`analyze` and the regularization path) and on the
+K-point evaluation grid (the oracle error curves) alike.  A fixed numpy build
+fixes the FFT's summation order, so results are reproducible run to run, and
+its roundoff grows like log N, where a direct sum's grows with ell*x.
+:func:`basis_matrix` remains for evaluation at arbitrary points.
 
 Every angle is reduced into [-pi, pi) before basis evaluation, so callers may
 pass arbitrary real angles.
@@ -162,8 +166,10 @@ def basis_matrix(points, degree: int) -> np.ndarray:
     m[:, 0] = 1.0 / np.sqrt(TWO_PI)
     if degree > 0:
         arg = np.outer(x, np.arange(1, degree + 1, dtype=float))
-        m[:, 1::2] = np.cos(arg) / np.sqrt(np.pi)
-        m[:, 2::2] = np.sin(arg) / np.sqrt(np.pi)
+        # written in place: no temporaries the size of ``arg``
+        np.cos(arg, out=m[:, 1::2])
+        np.sin(arg, out=m[:, 2::2])
+        m[:, 1:] /= np.sqrt(np.pi)
     return m
 
 
@@ -218,14 +224,8 @@ def _require_finite(values: np.ndarray, what: str):
         )
 
 
-def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
-    """Discrete Fourier coefficients <samples, Y(ell,k)>_N of sampled data.
-
-    Requires 2*degree + 1 <= N so the quadrature underlying the inner product
-    stays exact on products of basis modes (otherwise aliasing would corrupt
-    every coefficient), and finite samples: a NaN or inf would spread into
-    every coefficient and every diagnostic derived from them.
-    """
+def _validated_samples(samples, grid: TrapezoidalGrid, degree: int) -> np.ndarray:
+    """The samples as a float array, checked as :func:`analyze` requires."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
         raise ValueError(
@@ -239,8 +239,19 @@ def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
             f"2*degree + 1 <= n_points for exact quadrature"
         )
     _require_finite(samples, "samples")
-    mat = basis_matrix(grid.nodes, degree)
-    values = grid.weight * (mat.T @ samples)
+    return samples
+
+
+def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
+    """Discrete Fourier coefficients <samples, Y(ell,k)>_N of sampled data.
+
+    Requires 2*degree + 1 <= N so the quadrature underlying the inner product
+    stays exact on products of basis modes (otherwise aliasing would corrupt
+    every coefficient), and finite samples: a NaN or inf would spread into
+    every coefficient and every diagnostic derived from them.  The
+    coefficients come from :func:`uniform_projection` on the grid's nodes.
+    """
+    values, _ = uniform_projection(_validated_samples(samples, grid, degree), degree)
     return FourierCoefficients(degree=degree, values=values, n_points=grid.n_points)
 
 

@@ -12,6 +12,11 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
   available in closed form on interpolatory grids N = 2*degree + 1;
 * oracle (``select_oracle``): minimizer of the true L2 error, for benchmarks.
 
+Each strategy is a pure function of one :class:`RegularizationPath`.
+:data:`STRATEGIES`, the single list of them, maps each name to its runner;
+:func:`run_strategies` runs any of them on one shared path, and each
+``select_*`` function builds a path and calls its registry entry.
+
 All diagnostics here require a penalty with zero weight on the constant mode
 (the power-law family); the constant-weight form is only meaningful for the
 barycentric evaluator.
@@ -19,19 +24,14 @@ barycentric evaluator.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    TrapezoidalGrid,
-    analyze,
-    synthesize,
-    uniform_eval_points,
-    uniform_projection,
-    weighted_norm,
-)
+from .grid import TrapezoidalGrid, _validated_samples, uniform_eval_points, uniform_projection
 from .penalty import PenaltySequence
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
     "gcv_bounds",
     "select_gcv",
     "select_oracle",
+    "STRATEGIES",
+    "run_strategies",
 ]
 
 
@@ -123,7 +125,6 @@ class SelectionReport:
     discrepancy: np.ndarray | None = None
     l2_error: np.ndarray | None = None
     noise_norm_used: float | None = None
-    sigma_mean: float | None = None
     assumption_ok: bool | None = None
 
 
@@ -135,24 +136,14 @@ def _require_selection_penalty(penalty: PenaltySequence):
         )
 
 
-def _check_problem(grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence):
-    if penalty.degree != degree:
-        raise ValueError(
-            f"penalty degree {penalty.degree} does not match requested degree {degree}"
-        )
-    if 2 * degree + 1 > grid.n_points:
-        raise ValueError(
-            f"degree {degree} too high for {grid.n_points} nodes: need "
-            f"2*degree + 1 <= n_points"
-        )
-    _require_selection_penalty(penalty)
-
-
 # ---------------------------------------------------------------------------
 # Per-lambda diagnostics.  Every one is a closed form in the coefficients of
 # the samples, held by RegularizationPath; the scalar functions below are
 # thin views of it.
 # ---------------------------------------------------------------------------
+
+# Entries per (block, 2L+1) temporary in a path scan: 32 KB of float64.
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -170,9 +161,9 @@ class RegularizationPath:
 
     ``r0`` = ||f - P_L f||_N**2 is the part of the samples that no degree-L
     polynomial reaches.  It is exactly 0 on an interpolatory grid
-    (N = 2L + 1); otherwise :meth:`from_samples` takes it once from the
-    literal node residual of the unshrunk fit, never as ||f||**2 - ||c||**2,
-    which cancels catastrophically.
+    (N = 2L + 1); otherwise :meth:`from_samples` takes it from the same rfft
+    as the coefficients (:func:`~trigreg.grid.uniform_projection`), never as
+    ||f||**2 - ||c||**2, which cancels catastrophically.  ``n_points`` is N.
 
     ``lambdas`` is a scalar or a 1-d array, and each diagnostic comes back
     as a float or an array of that length.  :meth:`residual_sq` and
@@ -185,61 +176,89 @@ class RegularizationPath:
     beta_sq: np.ndarray
     lambdas: np.ndarray | float
     r0: float
+    n_points: int
 
     @classmethod
     def from_samples(
         cls, samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lambdas
     ) -> "RegularizationPath":
-        """Analyze the samples once and set up the path over ``lambdas``."""
-        _check_problem(grid, degree, penalty)
-        samples = np.asarray(samples, dtype=float)
-        coeffs = analyze(samples, grid, degree)
-        r0 = 0.0
-        if grid.n_points > 2 * degree + 1:
-            resid = synthesize(coeffs, grid.nodes) - samples
-            r0 = grid.weight * float(np.dot(resid, resid))
-        return cls(coeffs=coeffs.values, beta_sq=penalty.beta**2, lambdas=lambdas, r0=r0)
+        """Project the samples once and set up the path over ``lambdas``."""
+        if penalty.degree != degree:
+            raise ValueError(
+                f"penalty degree {penalty.degree} does not match requested degree {degree}"
+            )
+        _require_selection_penalty(penalty)
+        coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
+        return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
 
     def _factors(self, lam):
-        """The shrink factors s and w, shape (2L+1,) or (2L+1, T)."""
-        if lam is None:
-            return self._path_factors
-        lam_bsq = np.multiply.outer(self.beta_sq, lam)
+        """The shrink factors s and w at the given lambdas, shape (..., 2L+1)."""
+        lam_bsq = np.multiply.outer(lam, self.beta_sq)
         shrink = 1.0 / (1.0 + lam_bsq)
-        return shrink, lam_bsq * shrink
+        lam_bsq *= shrink
+        return shrink, lam_bsq
+
+    def _blocks(self):
+        """Yield (slice, s, w) over consecutive blocks of the path's lambdas.
+
+        Each factor is a (block, 2L+1) array of at most _BLOCK_ELEMENTS
+        entries, so a scan's temporaries stay cache-sized and are reused by
+        the allocator from one block to the next, where whole-path (T, 2L+1)
+        temporaries (1.6 MB each at N = 501) made every scan fault in fresh
+        memory pages.
+        """
+        lambdas = np.atleast_1d(self.lambdas)
+        step = max(1, _BLOCK_ELEMENTS // self.beta_sq.size)
+        for start in range(0, lambdas.size, step):
+            part = slice(start, start + step)
+            yield (part, *self._factors(lambdas[part]))
 
     @cached_property
-    def _path_factors(self):
-        # built once: a scan reads J, K and K' over the same lambdas
-        return self._factors(self.lambdas)
+    def _sums(self):
+        # One pass over the lambdas gives every scan diagnostic its mode sums:
+        # sum (w*c)**2, sum beta**2*s**2*c**2, -2*sum beta**4*s**3*c**2, sum w.
+        c_sq = self.coeffs**2
+        seminorm_weights = self.beta_sq * c_sq
+        slope_weights = -2.0 * (self.beta_sq**2 * c_sq)
+        fit, seminorm, slope, trace = np.empty((4, np.size(self.lambdas)))
+        for part, shrink, weight in self._blocks():
+            trace[part] = weight.sum(axis=1)
+            weight *= weight
+            fit[part] = weight @ c_sq
+            shrink_sq = shrink * shrink
+            seminorm[part] = shrink_sq @ seminorm_weights
+            shrink_sq *= shrink
+            slope[part] = shrink_sq @ slope_weights
+        return fit, seminorm, slope, trace
 
-    @staticmethod
-    def _out(value):
-        return float(value) if np.ndim(value) == 0 else value
+    def _out(self, values):
+        """A fresh scalar or array shaped like ``lambdas``."""
+        return float(values[0]) if np.ndim(self.lambdas) == 0 else values.copy()
 
     def alpha(self, lam=None):
         """Regularized coefficients s*c, one column per lambda."""
-        shrink, _ = self._factors(lam)
-        return (shrink.T * self.coeffs).T
+        shrink, _ = self._factors(self.lambdas if lam is None else lam)
+        return (shrink * self.coeffs).T
 
     def residual_sq(self, lam=None):
         """J: weighted squared node residual of the regularized solution."""
+        if lam is None:
+            return self._out(self.r0 + self._sums[0])
         _, weight = self._factors(lam)
-        return self._out(self.r0 + self.coeffs**2 @ weight**2)
+        value = self.r0 + weight**2 @ self.coeffs**2
+        return float(value) if np.ndim(value) == 0 else value
 
     def penalty_sq(self):
         """K: squared smoothness seminorm of the regularized solution."""
-        shrink, _ = self._path_factors
-        return self._out((self.beta_sq * self.coeffs**2) @ shrink**2)
+        return self._out(self._sums[1])
 
     def penalty_sq_prime(self):
         """K': derivative of K in lambda (nonpositive)."""
-        shrink, _ = self._path_factors
-        return self._out(-2.0 * (self.beta_sq**2 * self.coeffs**2) @ shrink**3)
+        return self._out(self._sums[2])
 
     def residual_sq_prime(self):
         """J': derivative of J in lambda, by the exchange identity J' = -lam*K'."""
-        return self._out(-self.lambdas * self.penalty_sq_prime())
+        return self._out(-self.lambdas * self._sums[2])
 
     def curvature(self):
         """Signed L-curve curvature kappa at every lambda (see :func:`lcurve_curvature`)."""
@@ -247,8 +266,8 @@ class RegularizationPath:
 
     def gcv(self):
         """GCV score V = sum (w*c)**2 / (sum w)**2; valid on interpolatory grids only."""
-        _, weight = self._path_factors
-        return self._out(self.coeffs**2 @ weight**2 / weight.sum(axis=0) ** 2)
+        fit, _, _, trace = self._sums
+        return self._out(fit / trace**2)
 
     def l2_error(self, truth_coeffs, remainder: float):
         """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
@@ -258,12 +277,24 @@ class RegularizationPath:
         K-point evaluation grid.  By Parseval on that grid this equals
         sqrt((2*pi/K) * sum (p - f)**2) whenever K >= 2L + 1.
         """
-        diff = self.alpha().T - truth_coeffs
-        return self._out(np.sqrt(np.sum(diff * diff, axis=-1) + remainder))
+        errors = np.empty(np.size(self.lambdas))
+        for part, shrink, _ in self._blocks():
+            shrink *= self.coeffs
+            shrink -= truth_coeffs
+            shrink *= shrink
+            errors[part] = shrink.sum(axis=1)
+        errors += remainder
+        return self._out(np.sqrt(errors, out=errors))
+
+    def discrepancy_bounds(self) -> tuple[float, float]:
+        """Morozov's noise bounds sqrt(J(0)) and sqrt(r0 + sum_{ell>=1} c**2),
+        the latter equal to ||f - mean(f)||_N by orthogonality."""
+        varying = self.coeffs[1:]
+        return math.sqrt(self.residual_sq(0.0)), math.sqrt(self.r0 + float(varying @ varying))
 
 
 def _scalar_path(samples, grid, degree, penalty, lam) -> RegularizationPath:
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
     return RegularizationPath.from_samples(samples, grid, degree, penalty, float(lam))
 
@@ -335,20 +366,15 @@ def _curvature(rho, eta, eta_prime, lam):
 
 
 # ---------------------------------------------------------------------------
-# Strategies
+# Strategies.  Each runner reads one shared RegularizationPath and returns a
+# SelectionReport; STRATEGIES is the registry of them, and each select_*
+# function builds a path and calls its registry entry.
 # ---------------------------------------------------------------------------
 
 
-def select_morozov(
-    samples,
-    grid: TrapezoidalGrid,
-    degree: int,
-    penalty: PenaltySequence,
-    params: ParameterGrid,
-    noise_norm: float,
-    refine: bool = True,
-    check_assumption: bool = True,
-):
+def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
+                   params: ParameterGrid, noise_norm: float, refine: bool = True,
+                   check_assumption: bool = True) -> SelectionReport:
     """Discrepancy principle: first grid lambda whose residual reaches the noise.
 
     Scans k = 1..T (lambda decreasing) and stops at the first
@@ -358,27 +384,27 @@ def select_morozov(
     stops) until |F| <= 1e-10 * noise_norm**2 or 60 iterations.
 
     The principle is only meaningful when the noise norm separates the
-    full-degree residual from the residual of the node mean; if that
-    assumption fails, the report carries ``assumption_ok=False`` and no
-    chosen lambda rather than a silent fallback.  If F stays positive across
-    the whole grid although the assumption was satisfied, the root lies below
-    lambda_T and lambda_T is returned; with assumption checking disabled and
-    no root anywhere, :class:`GridExhaustedError` is raised.
+    full-degree residual from the residual of the node mean (see
+    :meth:`RegularizationPath.discrepancy_bounds`); if that assumption
+    fails, the report carries ``assumption_ok=False`` and no chosen lambda
+    rather than a silent fallback.  If F stays positive across the whole
+    grid although the assumption was satisfied, the root lies below
+    lambda_T and lambda_T is returned; with assumption checking disabled
+    and no root anywhere, :class:`GridExhaustedError` is raised.
     """
-    if noise_norm < 0:
-        raise ValueError(f"noise norm must be >= 0, got {noise_norm}")
-    samples = np.asarray(samples, dtype=float)
-    noise_sq = float(noise_norm) ** 2
-
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    return STRATEGIES["morozov"].run(path, params, noise_norm, refine, check_assumption)
+
+
+def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=True, **_):
+    if not noise_norm >= 0:
+        raise ValueError(f"noise norm must be >= 0, got {noise_norm}")
+    noise_sq = float(noise_norm) ** 2
     j_vals = path.residual_sq()
     f_vals = j_vals - noise_sq
     j_at = path.residual_sq  # closed form, O(degree) per bisection step
 
-    j_zero = j_at(0.0)
-    sigma = float(np.mean(samples))
-    upper = weighted_norm(samples - sigma, grid)
-    lower = float(np.sqrt(j_zero))
+    lower, upper = path.discrepancy_bounds()
     slack = 1e-10 * upper  # forgive pure roundoff in the interpolation residual
     assumption_ok = (lower <= noise_norm + slack) and (noise_norm <= upper + slack)
 
@@ -388,7 +414,6 @@ def select_morozov(
         residual_sq=j_vals,
         discrepancy=f_vals,
         noise_norm_used=float(noise_norm),
-        sigma_mean=sigma,
     )
     if check_assumption and not assumption_ok:
         return SelectionReport(
@@ -446,20 +471,20 @@ def select_morozov(
     )
 
 
-def select_lcurve(
-    samples,
-    grid: TrapezoidalGrid,
-    degree: int,
-    penalty: PenaltySequence,
-    params: ParameterGrid,
-) -> SelectionReport:
+def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
+                  params: ParameterGrid) -> SelectionReport:
     """L-curve corner: the grid lambda of maximal absolute curvature."""
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    return STRATEGIES["lcurve"].run(path, params)
+
+
+def _run_lcurve(path, params, **_):
     c = path.coeffs
+    beta = np.sqrt(path.beta_sq)
     # Quadrature roundoff leaves ~1e-16 relics on the penalized modes even
     # for an exactly constant signal, so the eta = 0 test must be relative.
-    seminorm = np.max(np.abs(penalty.beta * c), initial=0.0)
-    scale = np.max(penalty.beta) * np.max(np.abs(c), initial=0.0)
+    seminorm = np.max(np.abs(beta * c), initial=0.0)
+    scale = np.max(beta) * np.max(np.abs(c), initial=0.0)
     if seminorm <= 1e-13 * scale:
         raise InapplicableStrategyError(
             "L-curve is inapplicable: the penalized seminorm of the data is "
@@ -509,12 +534,12 @@ def gcv_value(coeffs, penalty: PenaltySequence, lam: float) -> float:
         raise ValueError(f"the GCV score is undefined at lam = {lam}; it needs lam > 0")
     if gcv_trace(penalty, lam) == 0.0:
         raise ValueError("the GCV score is undefined: the penalty traces to zero")
-    return RegularizationPath(coeffs.values, penalty.beta**2, float(lam), 0.0).gcv()
+    return RegularizationPath(coeffs.values, penalty.beta**2, float(lam), 0.0, coeffs.n_points).gcv()
 
 
 def gcv_trace(penalty: PenaltySequence, lam: float) -> float:
     """Effective residual degrees of freedom sum_modes lam*beta**2/(1+lam*beta**2)."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"regularization parameter must be >= 0, got {lam}")
     beta_sq = penalty.beta**2
     return float(np.sum(lam * beta_sq / (1.0 + lam * beta_sq)))
@@ -535,25 +560,23 @@ def gcv_bounds(coeffs, lam: float) -> tuple[float, float]:
     return lower, upper
 
 
-def select_gcv(
-    samples,
-    grid: TrapezoidalGrid,
-    degree: int,
-    penalty: PenaltySequence,
-    params: ParameterGrid,
-) -> SelectionReport:
+def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
+               params: ParameterGrid) -> SelectionReport:
     """Minimize the closed-form GCV score over the parameter grid.
 
     Requires the interpolatory setting N = 2*degree + 1 and nondegenerate
     data (some nonzero coefficient).
     """
-    _check_problem(grid, degree, penalty)
-    if grid.n_points != 2 * degree + 1:
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    return STRATEGIES["gcv"].run(path, params)
+
+
+def _run_gcv(path, params, **_):
+    if path.n_points != path.coeffs.size:
         raise InapplicableStrategyError(
             "GCV selection requires the interpolatory setting "
-            f"n_points = 2*degree + 1, got n_points = {grid.n_points}"
+            f"n_points = 2*degree + 1, got n_points = {path.n_points}"
         )
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     if not np.any(path.coeffs):
         raise InapplicableStrategyError(
             "GCV is inapplicable: all data coefficients are zero"
@@ -569,15 +592,8 @@ def select_gcv(
     )
 
 
-def select_oracle(
-    samples,
-    grid: TrapezoidalGrid,
-    degree: int,
-    penalty: PenaltySequence,
-    params: ParameterGrid,
-    true_function,
-    eval_points: int = 10000,
-) -> SelectionReport:
+def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
+                  params: ParameterGrid, true_function, eval_points: int = 10000) -> SelectionReport:
     """Benchmark selector: minimize the true L2 error against a known function.
 
     The error is the discretized L2 distance sqrt((2*pi/K) * sum (p - f)**2)
@@ -586,12 +602,15 @@ def select_oracle(
     Parseval on that grid from one FFT of the function (see
     :meth:`RegularizationPath.l2_error`), with no dense evaluation.
     """
-    _check_problem(grid, degree, penalty)
     if eval_points < 1000:
         raise ValueError(f"eval_points must be >= 1000, got {eval_points}")
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     truth = np.asarray(true_function(uniform_eval_points(eval_points)), dtype=float)
-    errs = path.l2_error(*uniform_projection(truth, degree))
+    return STRATEGIES["oracle"].run(path, params, truth=uniform_projection(truth, degree))
+
+
+def _run_oracle(path, params, truth=None, **_):
+    errs = path.l2_error(*truth)
     idx = int(np.argmin(errs))
     return SelectionReport(
         strategy="oracle",
@@ -600,3 +619,55 @@ def select_oracle(
         chosen_index=idx,
         l2_error=errs,
     )
+
+
+# ---------------------------------------------------------------------------
+# The strategy registry
+# ---------------------------------------------------------------------------
+
+
+# A registry entry: run(path, params, **inputs) returns the strategy's
+# SelectionReport, ignoring inputs it does not read; needs names the input it
+# cannot do without, if any.
+Strategy = namedtuple("Strategy", ["run", "needs"], defaults=[None])
+
+# The one list of strategies, in the order "all" runs them.
+STRATEGIES = {
+    "morozov": Strategy(_run_morozov, needs="noise_norm"),
+    "lcurve": Strategy(_run_lcurve),
+    "gcv": Strategy(_run_gcv),
+    "oracle": Strategy(_run_oracle, needs="truth"),
+}
+
+
+def run_strategies(path: RegularizationPath, params: ParameterGrid, names, **inputs):
+    """Run the named strategies on one shared path, in the given order.
+
+    ``inputs`` go to every runner: ``noise_norm`` and ``refine`` (Morozov)
+    and ``truth``, the oracle's :func:`~trigreg.grid.uniform_projection` of
+    the true function on the evaluation grid.  Returns ``(reports,
+    failures)``: the report of each strategy that chose a lambda, and the
+    message of each that raised a :class:`SelectionError` or chose none
+    (Morozov with its noise assumption violated).
+    """
+    unknown = [name for name in names if name not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
+    reports, failures = {}, {}
+    for name in names:
+        strategy = STRATEGIES[name]
+        if strategy.needs and inputs.get(strategy.needs) is None:
+            raise ValueError(f"strategy {name!r} needs the input {strategy.needs!r}")
+        try:
+            report = strategy.run(path, params, **inputs)
+        except SelectionError as exc:
+            failures[name] = str(exc)
+            continue
+        if report.chosen_lambda is None:
+            failures[name] = (
+                f"{name} noise assumption violated: the noise norm does not separate "
+                "the full-degree residual from the residual of the node mean"
+            )
+        else:
+            reports[name] = report
+    return reports, failures

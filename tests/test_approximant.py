@@ -40,6 +40,19 @@ def test_solve_validates_lambda(cos_problem):
         tr.solve(samples, g, 2, -0.5, pen)
 
 
+def test_nan_lambda_is_rejected(cos_problem):
+    # a NaN compares false with 0 both ways, so a "lam < 0" guard lets it through
+    g, samples, pen = cos_problem
+    with pytest.raises(ValueError, match="must be >= 0"):
+        tr.solve(samples, g, 2, math.nan, pen)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        tr.condition_number(math.nan, pen)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        tr.lebesgue_bound(math.nan, pen)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        tr.evaluate_barycentric(samples, g, math.nan, 1.0, 0.1)
+
+
 def test_solve_penalty_degree_must_match(cos_problem):
     g, samples, _ = cos_problem
     with pytest.raises(ValueError):
@@ -93,6 +106,15 @@ def test_barycentric_interpolates_at_zero_lambda():
     direct = tr.solve(samples, g, 5, 0.0, tr.laplace_penalty(5))(pts)
     bary = tr.evaluate_barycentric(samples, g, 0.0, 0.0, pts)
     assert_allclose(bary, direct, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_barycentric_rejects_non_finite_samples(bad):
+    g = tr.make_grid(11)
+    samples = np.cos(g.nodes)
+    samples[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.evaluate_barycentric(samples, g, 0.1, 1.0, [0.1, 0.2])
 
 
 def test_barycentric_matches_constant_weight_solve():

@@ -131,6 +131,20 @@ def test_approximate_config_failures(tmp_path, capsys, argv, code):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("approximate", "--gallery", "f1", "--n", "21", "--strategy", "manual", "--lambda", "nan"),
+        ("select", "--gallery", "f1", "--n", "21", "--strategy", "morozov", "--noise-norm", "nan"),
+    ],
+)
+def test_nan_scalar_flag_is_config_error(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config-error: {argv[-2]} must be >= 0, got nan")
+    assert not (tmp_path / "coefficients.csv").exists()
+
+
 def test_approximate_morozov_needs_noise_size(tmp_path, capsys):
     code = run_cli(
         "approximate", "--gallery", "f1", "--n", "21", "--strategy", "morozov",

@@ -225,6 +225,26 @@ def test_sweep_morozov_choice_stays_on_grid(small_sweep):
         assert row.assumption_ok is True
 
 
+def test_sweep_rows_match_the_selectors():
+    """Every sweep pick equals the select_* pick on the same realization."""
+    func = tr.gallery("sawtooth")
+    rep = tr.sweep(func, 51, snr_levels=(10.0, 40.0, 70.0), seed=5, eval_points=2000)
+    g, degree = tr.make_grid(51), 25
+    pen, params = tr.laplace_penalty(degree), rep.params
+    clean = func(g.nodes)
+    for row in rep.rows:
+        noisy = tr.add_noise_snr(clean, row.snr_db, row.row_seed)
+        y = noisy.noisy
+        expected = {
+            "morozov": tr.select_morozov(y, g, degree, pen, params, noisy.eps_wnorm, refine=False),
+            "lcurve": tr.select_lcurve(y, g, degree, pen, params),
+            "gcv": tr.select_gcv(y, g, degree, pen, params),
+            "oracle": tr.select_oracle(y, g, degree, pen, params, func, 2000),
+        }
+        for name, report in expected.items():
+            assert row.chosen_index[name] == report.chosen_index, (row.snr_db, name)
+
+
 def test_sweep_accepts_callable_and_subset_of_strategies():
     rep = tr.sweep(
         np.cos, 21, snr_levels=(30.0,), strategies=("oracle",), seed=1, eval_points=1000

@@ -232,6 +232,27 @@ def test_synthesize_between_nodes_matches_direct_sum():
     assert_allclose(tr.synthesize(c, x), direct, rtol=1e-14)
 
 
+def _direct_analysis(samples, grid, degree, chunk=500):
+    """Reference analysis: the direct sum weight * basis_matrix(nodes, L).T @ f,
+    accumulated over row chunks so the N = 4001 case stays small in memory."""
+    total = np.zeros(2 * degree + 1)
+    for start in range(0, grid.n_points, chunk):
+        rows = slice(start, start + chunk)
+        total += tr.basis_matrix(grid.nodes[rows], degree).T @ samples[rows]
+    return grid.weight * total
+
+
+@pytest.mark.parametrize("n", [3, 101, 4001])
+def test_analyze_matches_direct_sum(n):
+    g = tr.make_grid(n)
+    rng = np.random.default_rng(n)
+    samples = np.exp(np.cos(g.nodes)) + np.sign(np.sin(3 * g.nodes)) + rng.standard_normal(n)
+    for degree in ((n - 1) // 2, (n - 1) // 5):
+        got = tr.analyze(samples, g, degree).values
+        want = _direct_analysis(samples, g, degree)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_analyze_rejects_non_finite_samples(bad):
     g = tr.make_grid(9)

@@ -115,6 +115,33 @@ def test_residual_matches_literal_node_sum_off_interpolation():
         assert j_scan[k] == pytest.approx(tr.residual_sq(samples, g, 6, pen, lam), rel=1e-14)
 
 
+@pytest.mark.parametrize("n_points", [101, 4097])
+def test_path_scan_matches_whole_path_formulas(n_points):
+    """The lambda-block scan equals the closed forms evaluated on the whole
+    (2L+1, T) factor matrices at once: several lambdas per block at N = 101
+    with a short last block (T = 397), one per block at N = 4097."""
+    g = tr.make_grid(n_points)
+    degree = (n_points - 1) // 2
+    samples = tr.add_noise_snr(tr.gallery("square")(g.nodes), 30.0, 4).noisy
+    pen = tr.laplace_penalty(degree)
+    lambdas = tr.parameter_grid(t_max=397).lambdas
+    path = tr.RegularizationPath.from_samples(samples, g, degree, pen, lambdas)
+    truth, remainder = tr.uniform_projection(tr.gallery("square")(tr.uniform_eval_points(10000)), degree)
+
+    c, beta_sq = path.coeffs, pen.beta**2
+    lam_bsq = np.outer(beta_sq, lambdas)
+    shrink = 1.0 / (1.0 + lam_bsq)
+    weight = lam_bsq * shrink
+    rtol = 1e-12  # sums of nonnegative terms over <= 4097 modes in another order
+    assert_allclose(path.residual_sq(), c**2 @ weight**2, rtol=rtol)
+    assert_allclose(path.penalty_sq(), (beta_sq * c**2) @ shrink**2, rtol=rtol)
+    assert_allclose(path.penalty_sq_prime(), -2.0 * (beta_sq**2 * c**2) @ shrink**3, rtol=rtol)
+    assert_allclose(path.gcv(), c**2 @ weight**2 / weight.sum(axis=0) ** 2, rtol=rtol)
+    dense_l2 = np.sqrt(np.sum((shrink * c[:, None] - truth[:, None]) ** 2, axis=0) + remainder)
+    assert_allclose(path.l2_error(truth, remainder), dense_l2, rtol=rtol)
+    assert_allclose(path.alpha(), shrink * c[:, None], rtol=0, atol=0)
+
+
 def test_path_interpolatory_remainder_is_exactly_zero():
     g = tr.make_grid(13)
     samples = np.random.default_rng(1).standard_normal(13)
@@ -122,6 +149,18 @@ def test_path_interpolatory_remainder_is_exactly_zero():
     assert path.r0 == 0.0
     assert path.residual_sq(0.0) == 0.0
     assert isinstance(path.residual_sq(), float)
+
+
+@pytest.mark.parametrize("degree", [50, 20])
+def test_morozov_upper_bound_is_mean_residual_norm(degree):
+    """sqrt(r0 + sum of the nonconstant c**2) equals ||f - mean(f)||_N on
+    interpolatory (L = 50) and non-interpolatory (L = 20) grids alike."""
+    g = tr.make_grid(101)
+    samples = np.exp(np.cos(g.nodes)) + 2.0 + np.random.default_rng(9).standard_normal(101)
+    path = tr.RegularizationPath.from_samples(samples, g, degree, tr.laplace_penalty(degree), 0.5)
+    lower, upper = path.discrepancy_bounds()
+    assert upper == pytest.approx(tr.weighted_norm(samples - np.mean(samples), g), rel=1e-12)
+    assert lower == math.sqrt(path.r0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -307,6 +346,17 @@ def test_morozov_requires_nonnegative_noise(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise"):
         tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), -1.0)
+
+
+def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
+    g, samples, pen = single_mode
+    with pytest.raises(ValueError, match="noise norm must be >= 0"):
+        tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.nan)
+    for diagnostic in (tr.residual_sq, tr.penalty_sq, tr.residual_sq_prime, tr.penalty_sq_prime):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            diagnostic(samples, g, 2, pen, math.nan)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        tr.gcv_trace(pen, math.nan)
 
 
 def test_exhaustion_error_is_a_selection_error():
