@@ -14,20 +14,28 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .approximant import evaluate, solve
-from .experiment import add_noise_snr, gallery, l2_error, sweep
-from .grid import harmonic_indices, make_grid, uniform_eval_points, uniform_projection
-from .penalty import laplace_penalty
+from .experiment import add_noise_snr, gallery, sweep
+from .grid import (
+    TWO_PI,
+    harmonic_indices,
+    make_grid,
+    uniform_eval_points,
+    uniform_projection,
+    uniform_synthesis,
+)
+from .penalty import _require_lambda, laplace_penalty
 from .selection import (
     STRATEGIES,
     RegularizationPath,
@@ -99,7 +107,9 @@ _CONFIG_FIELDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trigreg",
         description="Regularized trigonometric approximation of noisy periodic samples.",
@@ -168,8 +178,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise CliError("config-error", "--n is required with --gallery")
     if cfg.n is not None and (cfg.n < 3 or cfg.n % 2 == 0):
         raise CliError("config-error", f"--n must be an odd integer >= 3, got {cfg.n}")
-    if cfg.lam is not None and not cfg.lam >= 0:
-        raise CliError("config-error", f"--lambda must be >= 0, got {cfg.lam}")
+    if cfg.lam is not None:
+        _require_lambda(cfg.lam, "--lambda")  # a ValueError is a config-error
     if cfg.noise_norm is not None and not cfg.noise_norm >= 0:
         raise CliError("config-error", f"--noise-norm must be >= 0, got {cfg.noise_norm}")
     if cfg.eval_points < 1000:
@@ -199,18 +209,23 @@ def _parse_levels(text: str) -> list[float]:
         raise CliError("parse-error", f"cannot parse --snr-db value {text!r}") from None
 
 
-def _parse_strategies(cfg: RunConfig, allow_manual: bool) -> list[str]:
-    raw = cfg.strategy or ("manual" if allow_manual and cfg.lam is not None else "all")
+def _parse_strategies(cfg: RunConfig) -> list[str]:
+    approximate = cfg.command == "approximate"
+    raw = cfg.strategy or ("manual" if approximate and cfg.lam is not None else "all")
     names = [s.strip() for s in raw.split(",") if s.strip()]
     if "all" in names:
         names = list(STRATEGIES)
     for name in names:
         if name not in STRATEGIES and name != "manual":
             raise CliError("config-error", f"unknown strategy {name!r}")
-        if name == "manual" and not allow_manual:
+        if name == "manual" and not approximate:
             raise CliError("config-error", "strategy 'manual' only applies to approximate")
     if not names:
         raise CliError("config-error", "no strategy given")
+    if approximate and len(names) > 1:
+        raise CliError("config-error", "approximate takes a single --strategy")
+    if names == ["manual"] and cfg.lam is None:
+        raise CliError("config-error", "--strategy manual needs --lambda")
     return names
 
 
@@ -325,64 +340,77 @@ def _metadata(cfg: RunConfig, grid, source: str, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Strategy scans shared by approximate and select
+# The first half shared by approximate and select
 # ---------------------------------------------------------------------------
 
 
-def _resolve_noise_norm(cfg: RunConfig, realization):
-    if cfg.noise_norm is not None:
-        return cfg.noise_norm
-    if realization is not None:
-        return realization.eps_wnorm
-    return None
+# What approximate and select share: the samples, the true function or None,
+# the strategy names, the one path of the samples, the strategies' reports and
+# failures (as run_strategies gives them) and the output files' metadata.
+_Scan = namedtuple("_Scan", "samples func names path reports failures meta")
 
 
-def _run_named(names, cfg, grid, degree, pen, params, samples, func, realization):
-    """Run the named strategies on one shared path of the samples.
+def _scan(cfg: RunConfig) -> _Scan:
+    """Levels -> input -> one RegularizationPath -> the named strategies.
 
-    Returns ``(reports, failures)`` as :func:`run_strategies` does, where
-    failures also hold the strategies whose input is missing.  A single
+    The samples are projected once, and every strategy reads that path.
+    Failures hold the strategies whose input is missing too.  A single
     named strategy that fails raises CliError instead: config-error when
     its input is missing, strategy-error otherwise.
     """
-    inputs = {"noise_norm": _resolve_noise_norm(cfg, realization), "truth": None}
+    levels = _parse_levels(cfg.snr_db) if cfg.snr_db else []
+    if len(levels) > 1:
+        raise CliError("config-error", f"{cfg.command} takes a single --snr-db value")
+    grid, samples, func, realization, source = _prepare_input(cfg, levels)
+    names = _parse_strategies(cfg)
+    degree = (grid.n_points - 1) // 2
+    params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
+    noise_norm = cfg.noise_norm
+    if noise_norm is None and realization is not None:
+        noise_norm = realization.eps_wnorm
+    inputs = {"noise_norm": noise_norm, "truth": None}
     if func is not None and "oracle" in names:
         truth = np.asarray(func(uniform_eval_points(cfg.eval_points)), dtype=float)
         inputs["truth"] = uniform_projection(truth, degree)
+    strategies = [name for name in names if name in STRATEGIES]
     missing = {}
-    for name in names:
+    for name in strategies:
         need = STRATEGIES[name].needs
         if need and inputs[need] is None:
             missing[name] = _MISSING_INPUT[need]
     if missing and len(names) == 1:
         raise CliError("config-error", missing[names[0]])
-    path = RegularizationPath.from_samples(samples, grid, degree, pen, params.lambdas)
+    path = RegularizationPath.from_samples(
+        samples, grid, degree, laplace_penalty(degree, cfg.s), params.lambdas
+    )
     reports, failures = run_strategies(
-        path, params, [name for name in names if name not in missing], **inputs
+        path, params, [name for name in strategies if name not in missing], **inputs
     )
     if failures and len(names) == 1:
         raise CliError("strategy-error", failures[names[0]])
-    return reports, {**missing, **failures}
+    meta = _metadata(
+        cfg, grid, source,
+        strategy=",".join(names),
+        snr_db=levels[0] if levels else None,
+        noise_norm=noise_norm,
+    )
+    return _Scan(samples, func, names, path, reports, {**missing, **failures}, meta)
 
 
-def _diagnostics_rows(params, reports: dict):
+def _write_diagnostics(outdir: str, meta: dict, run: _Scan) -> str:
     """Merge per-strategy columns into the fixed lambda,J,K,kappa,V,F table."""
     columns = {key: None for key in ("residual_sq", "penalty_sq", "curvature", "gcv", "discrepancy")}
-    for report in reports.values():
+    for report in run.reports.values():
         for key in columns:
             if columns[key] is None:
                 columns[key] = getattr(report, key)
-    return [
-        (
-            lam,
-            None if columns["residual_sq"] is None else columns["residual_sq"][i],
-            None if columns["penalty_sq"] is None else columns["penalty_sq"][i],
-            None if columns["curvature"] is None else columns["curvature"][i],
-            None if columns["gcv"] is None else columns["gcv"][i],
-            None if columns["discrepancy"] is None else columns["discrepancy"][i],
-        )
-        for i, lam in enumerate(params.lambdas)
-    ]
+    rows = (
+        (lam, *(None if column is None else column[i] for column in columns.values()))
+        for i, lam in enumerate(run.path.lambdas)
+    )
+    path = os.path.join(outdir, "diagnostics.csv")
+    _write_csv(path, meta, ["lambda", "J", "K", "kappa", "V", "F"], rows)
+    return path
 
 
 def _chosen_entry(report):
@@ -402,35 +430,12 @@ def _chosen_entry(report):
 
 
 def cmd_approximate(cfg: RunConfig) -> int:
-    levels = _parse_levels(cfg.snr_db) if cfg.snr_db else []
-    if len(levels) > 1:
-        raise CliError("config-error", "approximate takes a single --snr-db value")
-    grid, samples, func, realization, source = _prepare_input(cfg, levels)
-    degree = (grid.n_points - 1) // 2
-    pen = laplace_penalty(degree, cfg.s)
-    params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
-    names = _parse_strategies(cfg, allow_manual=True)
-    if len(names) > 1:
-        raise CliError("config-error", "approximate takes a single --strategy")
-    strategy = names[0]
-
-    reports = {}
-    if strategy == "manual":
-        if cfg.lam is None:
-            raise CliError("config-error", "--strategy manual needs --lambda")
-        lam = cfg.lam
-    else:
-        reports, _ = _run_named(names, cfg, grid, degree, pen, params, samples, func, realization)
-        lam = reports[strategy].chosen_lambda
-
-    approx = solve(samples, grid, degree, lam, pen)
-    meta = _metadata(
-        cfg, grid, source,
-        strategy=strategy,
-        snr_db=levels[0] if levels else None,
-        noise_norm=_resolve_noise_norm(cfg, realization),
-        chosen_lambda=lam,
-    )
+    run = _scan(cfg)
+    n, degree = run.path.n_points, run.path.coeffs.size // 2
+    strategy = run.names[0]
+    lam = cfg.lam if strategy == "manual" else run.reports[strategy].chosen_lambda
+    alpha = run.path.alpha(lam)
+    meta = {**run.meta, "chosen_lambda": lam}
 
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -440,39 +445,34 @@ def cmd_approximate(cfg: RunConfig) -> int:
         meta,
         ["ell", "k", "alpha", "source_coeff"],
         (
-            (idx.ell, idx.k, approx.alpha[i], approx.source_coeffs.values[i])
+            (idx.ell, idx.k, alpha[i], run.path.coeffs[i])
             for i, idx in enumerate(harmonic_indices(degree))
         ),
     )
     eval_path = os.path.join(outdir, "evaluation.csv")
     x = uniform_eval_points(cfg.eval_points)
-    values = evaluate(approx, x)
+    values = uniform_synthesis(alpha, cfg.eval_points)
     _write_csv(eval_path, meta, ["x", "p"], zip(x, values))
     outputs = [coeff_path, eval_path]
-    if reports:
-        diag_path = os.path.join(outdir, "diagnostics.csv")
-        _write_csv(
-            diag_path, meta,
-            ["lambda", "J", "K", "kappa", "V", "F"],
-            _diagnostics_rows(params, reports),
-        )
-        outputs.append(diag_path)
+    if run.reports:
+        outputs.append(_write_diagnostics(outdir, meta, run))
 
-    node_residual = float(np.max(np.abs(evaluate(approx, grid.nodes) - samples)))
+    node_residual = float(np.max(np.abs(uniform_synthesis(alpha, n) - run.samples)))
     parts = [
         "ok",
         "command=approximate",
-        f"source={source}",
-        f"n={grid.n_points}",
+        f"source={meta['source']}",
+        f"n={n}",
         f"degree={degree}",
         f"s={_fmt(cfg.s)}",
         f"strategy={strategy}",
         f"lambda={_fmt(lam)}",
         f"max_node_residual={_fmt(node_residual)}",
     ]
-    if func is not None:
-        parts.append(f"l2_error_vs_truth={_fmt(l2_error(approx, func, cfg.eval_points))}")
-    if approx.zero_data:
+    if run.func is not None:
+        diff = values - np.asarray(run.func(x), dtype=float)
+        parts.append(f"l2_error_vs_truth={_fmt(math.sqrt(TWO_PI / x.size * float(diff @ diff)))}")
+    if not np.any(run.path.coeffs):
         parts.append("zero_data=true")
     parts.append("files=" + ",".join(outputs))
     print(" ".join(parts))
@@ -480,40 +480,19 @@ def cmd_approximate(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    levels = _parse_levels(cfg.snr_db) if cfg.snr_db else []
-    if len(levels) > 1:
-        raise CliError("config-error", "select takes a single --snr-db value")
-    grid, samples, func, realization, source = _prepare_input(cfg, levels)
-    degree = (grid.n_points - 1) // 2
-    pen = laplace_penalty(degree, cfg.s)
-    params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
-    names = _parse_strategies(cfg, allow_manual=False)
-
-    reports, failures = _run_named(names, cfg, grid, degree, pen, params, samples, func, realization)
-    chosen = {name: _chosen_entry(report) for name, report in reports.items()}
-
-    meta = _metadata(
-        cfg, grid, source,
-        strategy=",".join(names),
-        snr_db=levels[0] if levels else None,
-        noise_norm=_resolve_noise_norm(cfg, realization),
-    )
+    run = _scan(cfg)
+    chosen = {name: _chosen_entry(report) for name, report in run.reports.items()}
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    diag_path = os.path.join(outdir, "diagnostics.csv")
-    _write_csv(
-        diag_path, meta,
-        ["lambda", "J", "K", "kappa", "V", "F"],
-        _diagnostics_rows(params, reports),
-    )
+    diag_path = _write_diagnostics(outdir, run.meta, run)
     chosen_path = os.path.join(outdir, "chosen.json")
-    payload = {"metadata": {k: _fmt(v) for k, v in meta.items()}, "chosen": chosen}
-    if failures:
-        payload["failed"] = failures
+    payload = {"metadata": {k: _fmt(v) for k, v in run.meta.items()}, "chosen": chosen}
+    if run.failures:
+        payload["failed"] = run.failures
     _atomic_write(chosen_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    parts = ["ok", "command=select", f"source={source}", f"n={grid.n_points}"]
-    for name in names:
+    parts = ["ok", "command=select", f"source={run.meta['source']}", f"n={run.path.n_points}"]
+    for name in run.names:
         if name in chosen:
             parts.append(f"lambda_{name}={_fmt(chosen[name]['lambda'])}")
         else:
@@ -529,7 +508,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     levels = _parse_levels(cfg.snr_db)
     if not levels:
         raise CliError("config-error", "--snr-db resolved to an empty level list")
-    names = _parse_strategies(cfg, allow_manual=False)
+    names = _parse_strategies(cfg)
     params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
     grid = make_grid(cfg.n)
     try:

@@ -34,10 +34,10 @@ from .grid import (
     TWO_PI,
     FourierCoefficients,
     analyze,
-    basis_matrix,
     make_grid,
     uniform_eval_points,
     uniform_projection,
+    uniform_synthesis,
 )
 from .penalty import laplace_penalty
 from .selection import (
@@ -264,6 +264,21 @@ class SweepReport:
     rows: tuple
 
 
+_SYNTHESIS_BLOCK = 32  # lambdas per irfft
+
+
+def _uniform_errors(path: RegularizationPath, lambdas, truth: np.ndarray) -> np.ndarray:
+    """Max |p_lam - f| over the evaluation grid of ``truth`` for each lambda,
+    in (block, K) syntheses: no (T, K) array is formed."""
+    errors = np.empty(len(lambdas))
+    for start in range(0, len(lambdas), _SYNTHESIS_BLOCK):
+        part = slice(start, start + _SYNTHESIS_BLOCK)
+        diff = uniform_synthesis(path.alpha(lambdas[part]).T, truth.size)
+        diff -= truth
+        errors[part] = np.abs(diff, out=diff).max(axis=-1)
+    return errors
+
+
 def _row_seed(seed: int, index: int) -> int:
     """Independent per-row stream derived from (master seed, row index)."""
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])
@@ -304,11 +319,9 @@ def sweep(
     clean = np.asarray(func(grid.nodes), dtype=float)
 
     # The L2 curves come from the closed-form path (Parseval on the evaluation
-    # grid); only the uniform errors need the dense basis product.
-    eval_x = uniform_eval_points(eval_points)
-    truth = np.asarray(func(eval_x), dtype=float)
+    # grid); the uniform errors from synthesis on that grid.
+    truth = np.asarray(func(uniform_eval_points(eval_points)), dtype=float)
     projected_truth = uniform_projection(truth, degree)
-    eval_mat = basis_matrix(eval_x, degree) if emit_curves or strategies else None
 
     rows = []
     for i, snr_db in enumerate(snr_levels):
@@ -321,11 +334,13 @@ def sweep(
         )
         l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*projected_truth)
 
-        uniform_curve = None
-        if emit_curves:
-            diff = eval_mat @ path.alpha()
-            diff -= truth[:, None]
-            uniform_curve = np.abs(diff, out=diff).max(axis=0)
+        # every grid lambda for the curves, else the chosen ones (grid values:
+        # no refinement here)
+        columns = range(params.t_max) if emit_curves else sorted(
+            {report.chosen_index for report in reports.values()}
+        )
+        uniform = _uniform_errors(path, params.lambdas[list(columns)], truth)
+        uniform_at = dict(zip(columns, uniform.tolist()))
 
         # a failed strategy keeps None entries
         chosen, chosen_index, l2_by, uniform_by = ({name: None for name in strategies} for _ in range(4))
@@ -333,11 +348,7 @@ def sweep(
             idx = chosen_index[strategy] = report.chosen_index
             chosen[strategy] = report.chosen_lambda
             l2_by[strategy] = float(l2_curve[idx])
-            if uniform_curve is not None:
-                uniform_by[strategy] = float(uniform_curve[idx])
-            else:
-                diff = eval_mat @ path.alpha(report.chosen_lambda) - truth
-                uniform_by[strategy] = float(np.max(np.abs(diff)))
+            uniform_by[strategy] = uniform_at[idx]
         rows.append(
             SweepRow(
                 snr_db=float(snr_db),
@@ -350,7 +361,7 @@ def sweep(
                 uniform=uniform_by,
                 messages=messages,
                 assumption_ok="morozov" in reports if "morozov" in strategies else None,
-                curve=(l2_curve, uniform_curve) if emit_curves else None,
+                curve=(l2_curve, uniform) if emit_curves else None,
             )
         )
     return SweepReport(

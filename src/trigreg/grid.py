@@ -16,10 +16,14 @@ of one rfft bin (Cooley and Tukey, 1965).  :func:`uniform_projection` is the
 package's one projection routine: a single rfft gives the coefficients and
 the squared remainder ||f - P_L f||**2, in O(N log N) time and O(N) memory,
 on the sample grid (:func:`analyze` and the regularization path) and on the
-K-point evaluation grid (the oracle error curves) alike.  A fixed numpy build
+K-point evaluation grid (the oracle error curves) alike.
+:func:`uniform_synthesis` is its inverse, one irfft from coefficients to the
+values on any K-point equispaced grid (dense evaluation, node residuals,
+uniform errors), exact for every K >= 1.  Both take the (-1)**ell phase and
+the basis normalization from :func:`_mode_factors`.  A fixed numpy build
 fixes the FFT's summation order, so results are reproducible run to run, and
 its roundoff grows like log N, where a direct sum's grows with ell*x.
-:func:`basis_matrix` remains for evaluation at arbitrary points.
+:func:`basis_matrix` and :func:`synthesize` remain for arbitrary points.
 
 Every angle is reduced into [-pi, pi) before basis evaluation, so callers may
 pass arbitrary real angles.
@@ -49,6 +53,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "uniform_projection",
+    "uniform_synthesis",
 ]
 
 
@@ -262,6 +267,19 @@ def synthesize(coeffs: FourierCoefficients, points):
     return float(out[0]) if scalar else out
 
 
+def _mode_factors(degree: int) -> np.ndarray:
+    """Factors g_ell with Y(ell,1) - i*Y(ell,2) = g_ell * exp(-2*pi*i*ell*j/K) at
+    the points x_j = -pi + 2*pi*j/K of every uniform grid (Y(0,2) = 0).
+
+    They hold the (-1)**ell phase of a grid that starts at -pi and the basis
+    normalization 1/sqrt(2*pi) (ell = 0) or 1/sqrt(pi), for the one rfft of
+    :func:`uniform_projection` and the one irfft of :func:`uniform_synthesis`.
+    """
+    factors = np.where(np.arange(degree + 1) % 2 == 0, 1.0, -1.0) / np.sqrt(np.pi)
+    factors[0] = 1.0 / np.sqrt(TWO_PI)
+    return factors
+
+
 def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     """Project values sampled at ``uniform_eval_points(K)`` onto degree ``degree``.
 
@@ -269,13 +287,12 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     squared remainder ||values - P_L values||_K**2 under the K-point weight
     2*pi/K.  Any K >= 2*degree + 1 works, even K included, because the
     basis is orthonormal on every such grid.  One real FFT gives both
-    (Cooley and Tukey, 1965): the points start at -pi, so
-    cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/K) and likewise for sin, and
-    each coefficient is a signed real or imaginary part of bin ell.  The
-    remainder is the norm of the literal residual vector, synthesized from
-    the bins above the degree; it is never formed as
-    ||values||**2 - ||coefficients||**2, which cancels catastrophically when
-    the projection captures nearly everything.
+    (Cooley and Tukey, 1965): by :func:`_mode_factors`, the coefficients of
+    mode ell are the real part and the negated imaginary part of
+    (2*pi/K) * g_ell * bin ell.  The remainder is the norm of the literal
+    residual vector, synthesized from the bins above the degree; it is never
+    formed as ||values||**2 - ||coefficients||**2, which cancels
+    catastrophically when the projection captures nearly everything.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -290,12 +307,53 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
         )
     _require_finite(values, "values")
     spec = np.fft.rfft(values)
-    scale = TWO_PI / k
-    phase = np.where(np.arange(1, degree + 1) % 2 == 0, 1.0, -1.0)
+    modes = spec[: degree + 1] * (TWO_PI / k * _mode_factors(degree))
     coeffs = np.empty(2 * degree + 1)
-    coeffs[0] = scale * spec[0].real / np.sqrt(TWO_PI)
-    coeffs[1::2] = scale / np.sqrt(np.pi) * phase * spec[1 : degree + 1].real
-    coeffs[2::2] = -scale / np.sqrt(np.pi) * phase * spec[1 : degree + 1].imag
+    coeffs[0] = modes[0].real
+    coeffs[1::2] = modes[1:].real
+    coeffs[2::2] = -modes[1:].imag
     spec[: degree + 1] = 0.0
     rest = np.fft.irfft(spec, n=k)
-    return coeffs, scale * float(np.dot(rest, rest))
+    return coeffs, TWO_PI / k * float(np.dot(rest, rest))
+
+
+def uniform_synthesis(coeffs, n_points: int) -> np.ndarray:
+    """Values at ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
+
+    ``coeffs`` has shape (..., 2*degree + 1) in canonical order; the result
+    has shape (..., K), one irfft along the last axis (Cooley and Tukey,
+    1965), and inverts :func:`uniform_projection` whenever
+    K >= 2*degree + 1.  It is exact for every K >= 1: on K points mode ell
+    takes the values of frequency ell mod K, and a frequency above K/2 those
+    of its mirror K minus it with the sine negated, so modes above K/2 are
+    folded onto their alias rather than dropped.  The constant bin and, for
+    even K, the Nyquist bin are real and counted once by the irfft, so they
+    carry twice the weight of the others.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim < 1 or coeffs.shape[-1] % 2 == 0:
+        raise ValueError(
+            f"expected coefficients of shape (..., 2*degree + 1), got {coeffs.shape}"
+        )
+    k = int(n_points)
+    if k < 1:
+        raise ValueError(f"need at least one evaluation point, got {n_points}")
+    degree = coeffs.shape[-1] // 2
+    # Mode ell adds Re(m_ell * exp(2*pi*i*ell*j/K)) at point j, with m_ell =
+    # g_ell * (cosine coefficient - i * sine coefficient); irfft divides by K
+    # and counts the complex bins twice, so they take K/2 * m_ell.
+    modes = np.empty(coeffs.shape[:-1] + (degree + 1,), dtype=complex)
+    modes[..., 0] = coeffs[..., 0]
+    modes[..., 1:].real = coeffs[..., 1::2]
+    modes[..., 1:].imag = -coeffs[..., 2::2]
+    modes *= 0.5 * k * _mode_factors(degree)
+    bins = np.arange(degree + 1) % k
+    mirrored = 2 * bins > k
+    bins[mirrored] = k - bins[mirrored]
+    modes[..., mirrored] = np.conj(modes[..., mirrored])
+    spec = np.zeros(coeffs.shape[:-1] + (k // 2 + 1,), dtype=complex)
+    np.add.at(spec, (..., bins), modes)
+    spec[..., 0] *= 2.0
+    if k % 2 == 0:
+        spec[..., -1] *= 2.0
+    return np.fft.irfft(spec, n=k)

@@ -44,6 +44,15 @@ class PenaltySequence:
     constant_form: bool = False
 
 
+def _require_lambda(lam, what: str = "regularization parameter"):
+    """Refuse a negative or NaN lambda (``not lam >= 0``), and an infinite one:
+    lam * beta**2 would be inf * 0 = NaN on the unpenalized constant mode."""
+    if not lam >= 0:
+        raise ValueError(f"{what} must be >= 0, got {lam}")
+    if lam == np.inf:
+        raise ValueError(f"{what} must be finite, got {lam}")
+
+
 def _mode_degrees(degree: int) -> np.ndarray:
     """Frequency ell of each canonical slot: 0, 1, 1, 2, 2, ..."""
     ells = np.zeros(2 * degree + 1)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import TrapezoidalGrid, _validated_samples, uniform_eval_points, uniform_projection
-from .penalty import PenaltySequence
+from .penalty import PenaltySequence, _require_lambda
 
 __all__ = [
     "SelectionError",
@@ -294,8 +294,7 @@ class RegularizationPath:
 
 
 def _scalar_path(samples, grid, degree, penalty, lam) -> RegularizationPath:
-    if not lam >= 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
+    _require_lambda(lam)
     return RegularizationPath.from_samples(samples, grid, degree, penalty, float(lam))
 
 
@@ -478,18 +477,24 @@ def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
     return STRATEGIES["lcurve"].run(path, params)
 
 
-def _run_lcurve(path, params, **_):
+def _require_penalized_data(path, name: str):
+    """Refuse data whose penalized seminorm vanishes: L-curve and GCV then
+    rank nothing but roundoff."""
     c = path.coeffs
     beta = np.sqrt(path.beta_sq)
-    # Quadrature roundoff leaves ~1e-16 relics on the penalized modes even
-    # for an exactly constant signal, so the eta = 0 test must be relative.
+    # Roundoff leaves ~1e-16 relics on the penalized modes even for an
+    # exactly constant signal, so the zero test must be relative.
     seminorm = np.max(np.abs(beta * c), initial=0.0)
     scale = np.max(beta) * np.max(np.abs(c), initial=0.0)
     if seminorm <= 1e-13 * scale:
         raise InapplicableStrategyError(
-            "L-curve is inapplicable: the penalized seminorm of the data is "
+            f"{name} is inapplicable: the penalized seminorm of the data is "
             "identically zero (nothing but the constant mode present)"
         )
+
+
+def _run_lcurve(path, params, **_):
+    _require_penalized_data(path, "L-curve")
     kappa = path.curvature()
     idx = int(np.argmax(np.abs(kappa)))
     return SelectionReport(
@@ -539,8 +544,7 @@ def gcv_value(coeffs, penalty: PenaltySequence, lam: float) -> float:
 
 def gcv_trace(penalty: PenaltySequence, lam: float) -> float:
     """Effective residual degrees of freedom sum_modes lam*beta**2/(1+lam*beta**2)."""
-    if not lam >= 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {lam}")
+    _require_lambda(lam)
     beta_sq = penalty.beta**2
     return float(np.sum(lam * beta_sq / (1.0 + lam * beta_sq)))
 
@@ -564,8 +568,8 @@ def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequ
                params: ParameterGrid) -> SelectionReport:
     """Minimize the closed-form GCV score over the parameter grid.
 
-    Requires the interpolatory setting N = 2*degree + 1 and nondegenerate
-    data (some nonzero coefficient).
+    Requires the interpolatory setting N = 2*degree + 1 and data with a
+    nonzero penalized seminorm (not constant up to roundoff).
     """
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     return STRATEGIES["gcv"].run(path, params)
@@ -577,10 +581,7 @@ def _run_gcv(path, params, **_):
             "GCV selection requires the interpolatory setting "
             f"n_points = 2*degree + 1, got n_points = {path.n_points}"
         )
-    if not np.any(path.coeffs):
-        raise InapplicableStrategyError(
-            "GCV is inapplicable: all data coefficients are zero"
-        )
+    _require_penalized_data(path, "GCV")
     v_vals = path.gcv()
     idx = int(np.argmin(v_vals))
     return SelectionReport(

@@ -53,6 +53,22 @@ def test_nan_lambda_is_rejected(cos_problem):
         tr.evaluate_barycentric(samples, g, math.nan, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf])
+def test_infinite_lambda_is_rejected(cos_problem, lam):
+    # inf * beta**2 is NaN on the unpenalized constant mode
+    g, samples, pen = cos_problem
+    for call in (
+        lambda: tr.solve(samples, g, 2, lam, pen),
+        lambda: tr.condition_number(lam, pen),
+        lambda: tr.lebesgue_bound(lam, pen),
+        lambda: tr.evaluate_barycentric(samples, g, lam, 1.0, 0.1),
+        lambda: tr.residual_sq(samples, g, 2, pen, lam),
+        lambda: tr.gcv_trace(pen, lam),
+    ):
+        with pytest.raises(ValueError, match="must be (>= 0|finite), got -?inf"):
+            call()
+
+
 def test_solve_penalty_degree_must_match(cos_problem):
     g, samples, _ = cos_problem
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ def test_nan_scalar_flag_is_config_error(tmp_path, capsys, argv):
     assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config-error: {argv[-2]} must be >= 0, got nan")
+    assert not (tmp_path / "coefficients.csv").exists()
+
+
+@pytest.mark.parametrize("value, message", [("inf", "must be finite, got inf"),
+                                            ("-inf", "must be >= 0, got -inf")])
+def test_infinite_lambda_is_config_error(tmp_path, capsys, value, message):
+    argv = ("approximate", "--gallery", "f1", "--n", "21", "--strategy", "manual", f"--lambda={value}")
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: config-error: --lambda {message}")
     assert not (tmp_path / "coefficients.csv").exists()
 
 
@@ -310,6 +320,22 @@ def test_select_lcurve_on_constant_samples_fails(tmp_path, capsys):
     assert "constant mode" in capsys.readouterr().err
 
 
+def test_select_gcv_on_constant_samples_fails(tmp_path, capsys):
+    g = tr.make_grid(11)
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes, np.full(11, 2.5))
+    code = run_cli("select", "--input", str(path), "--strategy", "gcv",
+                   "--output-dir", str(tmp_path))
+    assert code == 5
+    assert "GCV is inapplicable" in capsys.readouterr().err
+    code = run_cli("select", "--input", str(path), "--strategy", "all", "--noise-norm", "0.1",
+                   "--output-dir", str(tmp_path))
+    assert code == 0
+    assert "lambda_gcv=failed" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "chosen.json").read_text())
+    assert "zero" in payload["failed"]["gcv"]
+
+
 def test_select_partial_failure_is_recorded_not_fatal(tmp_path, capsys):
     g = tr.make_grid(11)
     path = tmp_path / "samples.csv"
@@ -464,3 +490,55 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
     code = run_cli("approximate", "--gallery", "f1", "--n", "11", "--lambda", "0.1",
                    "--eval-points", "1000", "--output-dir", str(target))
     assert code == 6
+
+
+def test_back_to_back_calls_share_no_values(tmp_path, capsys):
+    # the argument parser is built once per process; no flag of one call may
+    # reach the next
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("sweep", "--gallery", "sine", "--n", "11", "--snr-db", "20", "--seed", "3",
+                   "--s", "2", "--t-max", "20", "--eval-points", "1000", "--emit-curves",
+                   "--strategy", "lcurve", "--output-dir", str(first)) == 0
+    assert (first / "curves_20dB.csv").exists()
+    assert run_cli("approximate", "--gallery", "f1", "--n", "11", "--lambda", "0.5",
+                   "--output-dir", str(first)) == 0
+    assert run_cli("sweep", "--gallery", "sine", "--n", "11", "--snr-db", "20",
+                   "--output-dir", str(second)) == 0
+    assert not (second / "curves_20dB.csv").exists()
+    meta, _, rows = read_csv(second / "report.csv")
+    assert (meta["seed"], meta["s"], meta["t_max"]) == ("0", "1.0", "400")
+    assert meta["strategy"] == "morozov,lcurve,gcv,oracle"
+    assert run_cli("select", "--gallery", "f1", "--n", "11", "--snr-db", "20",
+                   "--output-dir", str(second)) == 0
+    meta, _, _ = read_csv(second / "diagnostics.csv")
+    assert "chosen_lambda" not in meta
+    assert meta["eval_points"] == "10000"
+    assert meta["strategy"] == "morozov,lcurve,gcv,oracle"
+
+
+def test_no_command_builds_a_dense_basis(tmp_path, capsys, monkeypatch):
+    # equispaced evaluation is one irfft; basis_matrix serves arbitrary points only
+    calls = []
+    original = tr.grid.basis_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trigreg") and getattr(module, "basis_matrix", None) is original:
+            monkeypatch.setattr(module, "basis_matrix", counted)
+    g = tr.make_grid(31)
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes, tr.add_noise_snr(np.cos(g.nodes), 30.0, 1).noisy)
+    for argv in (
+        ("approximate", "--input", str(path), "--strategy", "gcv"),
+        ("approximate", "--gallery", "f2", "--n", "31", "--snr-db", "30", "--strategy", "oracle"),
+        ("approximate", "--gallery", "f1", "--n", "31", "--lambda", "0.1"),
+        ("select", "--gallery", "square", "--n", "31", "--snr-db", "30", "--strategy", "all"),
+        ("sweep", "--gallery", "f1", "--n", "31", "--snr-db", "20,60", "--emit-curves"),
+        ("sweep", "--gallery", "f1", "--n", "31", "--snr-db", "20,60"),
+    ):
+        assert run_cli(*argv, "--output-dir", str(tmp_path)) == 0
+    assert tr.grid.synthesize(tr.analyze(np.cos(g.nodes), g, 1), 0.3) == pytest.approx(math.cos(0.3))
+    assert len(calls) == 1  # the wrapper is live: only the explicit synthesize above

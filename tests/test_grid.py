@@ -303,3 +303,40 @@ def test_uniform_projection_needs_resolving_grid():
         tr.uniform_projection(np.ones(12), 6)
     with pytest.raises(ValueError, match="finite"):
         tr.uniform_projection(np.array([1.0, np.nan, 2.0]), 1)
+
+
+# ---------------------------------------------------------------------------
+# synthesis on a K-point evaluation grid
+# ---------------------------------------------------------------------------
+
+
+# (degree, K): K < 2L+1 folds modes onto their alias, and even K has a
+# Nyquist bin (L = 5, K = 10 puts mode 5 on it; K = 4 folds mode 2 onto it).
+SYNTHESIS_CASES = [(5, 1), (5, 4), (5, 7), (5, 10), (6, 13), (6, 14), (50, 1000), (50, 1001)]
+
+
+@pytest.mark.parametrize("degree, k", SYNTHESIS_CASES)
+def test_uniform_synthesis_matches_basis_matrix(degree, k):
+    coeffs = np.random.default_rng(degree * k).standard_normal((3, 2 * degree + 1))
+    direct = coeffs @ tr.basis_matrix(tr.uniform_eval_points(k), degree).T
+    stacked = tr.uniform_synthesis(coeffs, k)
+    assert stacked.shape == (3, k)
+    assert np.linalg.norm(stacked - direct) <= 1e-12 * np.linalg.norm(direct)
+    single = tr.uniform_synthesis(coeffs[1], k)
+    assert single.shape == (k,)
+    assert np.linalg.norm(single - direct[1]) <= 1e-12 * np.linalg.norm(direct[1])
+
+
+@pytest.mark.parametrize("degree, k", [(0, 1), (5, 11), (5, 12), (50, 101), (50, 1000)])
+def test_uniform_synthesis_inverts_projection(degree, k):
+    coeffs = np.random.default_rng(k).standard_normal(2 * degree + 1)
+    back, remainder = tr.uniform_projection(tr.uniform_synthesis(coeffs, k), degree)
+    assert_allclose(back, coeffs, rtol=0, atol=1e-13)
+    assert remainder < 1e-25
+
+
+def test_uniform_synthesis_validates_shape_and_points():
+    with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
+        tr.uniform_synthesis(np.ones(4), 10)
+    with pytest.raises(ValueError, match="at least one"):
+        tr.uniform_synthesis(np.ones(3), 0)

@@ -441,6 +441,13 @@ def test_select_gcv_refuses_zero_data():
         tr.select_gcv(np.zeros(5), g, 2, tr.laplace_penalty(2), tr.parameter_grid())
 
 
+def test_select_gcv_refuses_constant_data():
+    # the penalized coefficients of constant samples are roundoff relics
+    g = tr.make_grid(11)
+    with pytest.raises(tr.InapplicableStrategyError, match="zero"):
+        tr.select_gcv(np.full(11, 2.5), g, 5, tr.laplace_penalty(5), tr.parameter_grid())
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
