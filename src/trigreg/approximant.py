@@ -31,7 +31,7 @@ from .grid import (
     reduce_angle,
     synthesize,
 )
-from .penalty import PenaltySequence, _require_lambda
+from .penalty import PenaltySequence, _require_nonnegative
 
 __all__ = [
     "RegularizedApproximant",
@@ -83,7 +83,7 @@ def solve(
     2*degree + 1 <= N.  All-zero coefficient data is allowed but flagged on
     the result.
     """
-    _require_lambda(lam)
+    _require_nonnegative(lam)
     if penalty.degree != degree:
         raise ValueError(
             f"penalty degree {penalty.degree} does not match requested degree {degree}"
@@ -128,9 +128,8 @@ def evaluate_barycentric(samples, grid: TrapezoidalGrid, lam: float, tau: float,
     Points within 1e-12 of a node (as circle distance) receive the exact
     limit value f_j / (1 + lam*tau).
     """
-    _require_lambda(lam)
-    if not tau >= 0:
-        raise ValueError(f"constant weight tau must be >= 0, got {tau}")
+    _require_nonnegative(lam)
+    _require_nonnegative(tau, "constant weight tau")
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
         raise ValueError(
@@ -161,7 +160,7 @@ def condition_number(lam: float, penalty: PenaltySequence) -> float:
     the ratio of its extreme entries.  It equals 1 at lam = 0 and for any
     constant-weight penalty, and never decreases as lam grows.
     """
-    _require_lambda(lam)
+    _require_nonnegative(lam)
     beta_sq = penalty.beta**2
     return (1.0 + lam * np.max(beta_sq)) / (1.0 + lam * np.min(beta_sq))
 
@@ -196,6 +195,6 @@ def lebesgue_bound(lam: float, penalty: PenaltySequence) -> float:
 
     Grows like the dimension at lam = 0 and decays toward 1 as lam -> inf.
     """
-    _require_lambda(lam)
+    _require_nonnegative(lam)
     rest_sq = penalty.beta[1:] ** 2
     return 1.0 + float(np.sum(np.sqrt(2.0) / (1.0 + lam * rest_sq)))

@@ -1,7 +1,11 @@
 """Command-line front end: approximate / select / sweep.
 
-All commands emit CSV files with a ``# key: value`` metadata header, written
-atomically (temp file + rename).  Runs are deterministic: identical
+All commands emit CSV files with a ``# key: value`` metadata header.  Numbers
+are written as Python ``repr``, the shortest text that round-trips, so
+reading a cell back gives the exact float64.  Each file is formatted column
+by column in blocks of rows that stream to a temp file, which is then renamed
+into place, so memory stays bounded by one block and a failed write leaves
+no partial file.  Runs are deterministic: identical
 configuration produces byte-identical outputs.  On failure the process exits
 nonzero after printing a single line ``error: <category>: <message>`` to
 stderr; categories and exit codes are listed in README.md.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -29,13 +34,13 @@ from . import __version__
 from .experiment import add_noise_snr, gallery, sweep
 from .grid import (
     TWO_PI,
-    harmonic_indices,
     make_grid,
+    mode_layout,
     uniform_eval_points,
     uniform_projection,
     uniform_synthesis,
 )
-from .penalty import _require_lambda, laplace_penalty
+from .penalty import _require_nonnegative, laplace_penalty
 from .selection import (
     STRATEGIES,
     RegularizationPath,
@@ -57,6 +62,9 @@ _MISSING_INPUT = {
                   "noise with --snr-db/--seed",
     "truth": "oracle strategy needs a --gallery truth signal",
 }
+
+# Rows formatted and written at a time by _write_csv.
+_BLOCK_ROWS = 1024
 
 # report.csv column -> strategy key
 REPORT_COLUMNS = (("opt", "oracle"), ("corner", "lcurve"), ("mor", "morozov"), ("gcv", "gcv"))
@@ -178,10 +186,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise CliError("config-error", "--n is required with --gallery")
     if cfg.n is not None and (cfg.n < 3 or cfg.n % 2 == 0):
         raise CliError("config-error", f"--n must be an odd integer >= 3, got {cfg.n}")
+    # a ValueError is a config-error
     if cfg.lam is not None:
-        _require_lambda(cfg.lam, "--lambda")  # a ValueError is a config-error
-    if cfg.noise_norm is not None and not cfg.noise_norm >= 0:
-        raise CliError("config-error", f"--noise-norm must be >= 0, got {cfg.noise_norm}")
+        _require_nonnegative(cfg.lam, "--lambda")
+    if cfg.noise_norm is not None:
+        _require_nonnegative(cfg.noise_norm, "--noise-norm")
     if cfg.eval_points < 1000:
         raise CliError("config-error", f"--eval-points must be >= 1000, got {cfg.eval_points}")
     if not cfg.s > 0:
@@ -297,13 +306,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the text chunks to a temp file beside ``path``, then rename it there."""
     directory = os.path.dirname(path) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-trigreg-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -313,11 +323,36 @@ def _atomic_write(path: str, text: str):
         raise CliError("io-error", f"cannot write {path}: {exc}")
 
 
-def _write_csv(path: str, metadata: dict, header: list[str], rows):
+def _cells(column, start: int, stop: int):
+    """The text of rows start..stop-1 of one column (see :func:`_write_csv`)."""
+    if column is None:
+        return itertools.repeat("", stop - start)
+    if isinstance(column, np.ndarray):
+        return map(repr if column.dtype.kind == "f" else str, column[start:stop].tolist())
+    return map(_fmt, column[start:stop])
+
+
+def _write_csv(path: str, metadata: dict, header: list[str], columns):
+    """Write a ``# key: value`` metadata block, the header and the columns.
+
+    Each column is a float array (cells written as ``repr``, the shortest
+    text that reads back as the same float64), an int array (``str``), a
+    list whose cells may be None (:func:`_fmt`) or None (an empty column).
+    Each column is formatted once per block of ``_BLOCK_ROWS`` rows, and the
+    blocks stream to the temp file, so memory stays O(block), not O(rows).
+    """
+    n_rows = max(len(column) for column in columns if column is not None)
     lines = [f"# {key}: {_fmt(value)}" for key, value in metadata.items() if value is not None]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield "\n".join(lines) + "\n"
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            rows = zip(*(_cells(column, start, stop) for column in columns))
+            yield "\n".join(map(",".join, rows)) + "\n"
+
+    _atomic_write(path, chunks())
 
 
 def _metadata(cfg: RunConfig, grid, source: str, **extra) -> dict:
@@ -404,12 +439,9 @@ def _write_diagnostics(outdir: str, meta: dict, run: _Scan) -> str:
         for key in columns:
             if columns[key] is None:
                 columns[key] = getattr(report, key)
-    rows = (
-        (lam, *(None if column is None else column[i] for column in columns.values()))
-        for i, lam in enumerate(run.path.lambdas)
-    )
     path = os.path.join(outdir, "diagnostics.csv")
-    _write_csv(path, meta, ["lambda", "J", "K", "kappa", "V", "F"], rows)
+    _write_csv(path, meta, ["lambda", "J", "K", "kappa", "V", "F"],
+               [run.path.lambdas, *columns.values()])
     return path
 
 
@@ -440,19 +472,12 @@ def cmd_approximate(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     coeff_path = os.path.join(outdir, "coefficients.csv")
-    _write_csv(
-        coeff_path,
-        meta,
-        ["ell", "k", "alpha", "source_coeff"],
-        (
-            (idx.ell, idx.k, alpha[i], run.path.coeffs[i])
-            for i, idx in enumerate(harmonic_indices(degree))
-        ),
-    )
+    _write_csv(coeff_path, meta, ["ell", "k", "alpha", "source_coeff"],
+               [*mode_layout(degree), alpha, run.path.coeffs])
     eval_path = os.path.join(outdir, "evaluation.csv")
     x = uniform_eval_points(cfg.eval_points)
     values = uniform_synthesis(alpha, cfg.eval_points)
-    _write_csv(eval_path, meta, ["x", "p"], zip(x, values))
+    _write_csv(eval_path, meta, ["x", "p"], [x, values])
     outputs = [coeff_path, eval_path]
     if run.reports:
         outputs.append(_write_diagnostics(outdir, meta, run))
@@ -489,7 +514,7 @@ def cmd_select(cfg: RunConfig) -> int:
     payload = {"metadata": {k: _fmt(v) for k, v in run.meta.items()}, "chosen": chosen}
     if run.failures:
         payload["failed"] = run.failures
-    _atomic_write(chosen_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(chosen_path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
     parts = ["ok", "command=select", f"source={run.meta['source']}", f"n={run.path.n_points}"]
     for name in run.names:
@@ -530,17 +555,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
                      snr_db=cfg.snr_db)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    rows = []
-    for row in report.rows:
-        record = [row.snr_db]
-        record.extend(row.chosen.get(strategy) for _, strategy in REPORT_COLUMNS)
-        record.extend(row.l2.get(strategy) for _, strategy in REPORT_COLUMNS)
-        rows.append(record)
+    columns = [[row.snr_db for row in report.rows]]
+    columns += [[row.chosen.get(strategy) for row in report.rows] for _, strategy in REPORT_COLUMNS]
+    columns += [[row.l2.get(strategy) for row in report.rows] for _, strategy in REPORT_COLUMNS]
     report_path = os.path.join(outdir, "report.csv")
     header = ["snr_db"]
     header += [f"lambda_{suffix}" for suffix, _ in REPORT_COLUMNS]
     header += [f"l2_{suffix}" for suffix, _ in REPORT_COLUMNS]
-    _write_csv(report_path, meta, header, rows)
+    _write_csv(report_path, meta, header, columns)
     outputs = [report_path]
 
     if cfg.emit_curves:
@@ -553,7 +575,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 curve_path,
                 {**meta, "snr_db": level, "row_seed": row.row_seed},
                 ["lambda", "l2_error", "uniform_error"],
-                zip(params.lambdas, l2_curve, uniform_curve),
+                [params.lambdas, l2_curve, uniform_curve],
             )
             outputs.append(curve_path)
 

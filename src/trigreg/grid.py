@@ -43,6 +43,7 @@ __all__ = [
     "TrapezoidalGrid",
     "FourierCoefficients",
     "reduce_angle",
+    "mode_layout",
     "harmonic_indices",
     "make_grid",
     "uniform_eval_points",
@@ -93,15 +94,24 @@ class HarmonicIndex:
             raise ValueError("the constant mode has no sine branch: (0, 2) is invalid")
 
 
-def harmonic_indices(degree: int) -> list[HarmonicIndex]:
-    """All 2*degree + 1 indices in canonical order (0,1), (1,1), (1,2), ..."""
+def mode_layout(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency ell and branch k of each of the 2*degree + 1 canonical slots.
+
+    Two int arrays: ell = 0, 1, 1, 2, 2, ... and k = 1, 1, 2, 1, 2, ...
+    (k=1 cosine, k=2 sine), the one definition of the canonical order.
+    """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    out = [HarmonicIndex(0, 1)]
-    for ell in range(1, degree + 1):
-        out.append(HarmonicIndex(ell, 1))
-        out.append(HarmonicIndex(ell, 2))
-    return out
+    ells = np.zeros(2 * degree + 1, dtype=int)
+    ells[1::2] = ells[2::2] = np.arange(1, degree + 1)
+    branches = np.ones(2 * degree + 1, dtype=int)
+    branches[2::2] = 2
+    return ells, branches
+
+
+def harmonic_indices(degree: int) -> list[HarmonicIndex]:
+    """All 2*degree + 1 indices in canonical order (0,1), (1,1), (1,2), ..."""
+    return [HarmonicIndex(ell, k) for ell, k in zip(*(a.tolist() for a in mode_layout(degree)))]
 
 
 def _position(degree: int, ell: int, k: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FourierCoefficients
+from .grid import FourierCoefficients, mode_layout
 
 __all__ = [
     "PenaltySequence",
@@ -44,22 +44,17 @@ class PenaltySequence:
     constant_form: bool = False
 
 
-def _require_lambda(lam, what: str = "regularization parameter"):
-    """Refuse a negative or NaN lambda (``not lam >= 0``), and an infinite one:
-    lam * beta**2 would be inf * 0 = NaN on the unpenalized constant mode."""
-    if not lam >= 0:
-        raise ValueError(f"{what} must be >= 0, got {lam}")
-    if lam == np.inf:
-        raise ValueError(f"{what} must be finite, got {lam}")
+def _require_nonnegative(value, what: str = "regularization parameter"):
+    """Refuse a negative or NaN scalar (``not value >= 0``) and +inf.
 
-
-def _mode_degrees(degree: int) -> np.ndarray:
-    """Frequency ell of each canonical slot: 0, 1, 1, 2, 2, ..."""
-    ells = np.zeros(2 * degree + 1)
-    if degree > 0:
-        ells[1::2] = np.arange(1, degree + 1)
-        ells[2::2] = np.arange(1, degree + 1)
-    return ells
+    An infinite lambda would make lam * beta**2 = inf * 0 = NaN on the
+    unpenalized constant mode; an infinite weight or noise norm is no
+    more meaningful.
+    """
+    if not value >= 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    if value == np.inf:
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
@@ -72,13 +67,13 @@ def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not s > 0:
         raise ValueError(f"smoothness exponent s must be > 0, got {s}")
-    beta = _mode_degrees(degree) ** float(s)
+    beta = mode_layout(degree)[0].astype(float) ** float(s)
     beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta, exponent_s=float(s))
 
 
 def constant_penalty(degree: int, value: float) -> PenaltySequence:
-    """Constant weights beta(ell, k) = value >= 0 on every mode.
+    """Constant weights beta(ell, k) = value on every mode (finite, >= 0).
 
     Note the square: the damping factor applied to each mode is
     1/(1 + lam*value**2), so ``constant_penalty(L, sqrt(tau))`` is the
@@ -90,8 +85,7 @@ def constant_penalty(degree: int, value: float) -> PenaltySequence:
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if value < 0:
-        raise ValueError(f"constant weight must be >= 0, got {value}")
+    _require_nonnegative(value, "constant weight")
     beta = np.full(2 * degree + 1, float(value))
     beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta, constant_form=True)

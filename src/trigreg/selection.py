@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import TrapezoidalGrid, _validated_samples, uniform_eval_points, uniform_projection
-from .penalty import PenaltySequence, _require_lambda
+from .penalty import PenaltySequence, _require_nonnegative
 
 __all__ = [
     "SelectionError",
@@ -294,7 +294,7 @@ class RegularizationPath:
 
 
 def _scalar_path(samples, grid, degree, penalty, lam) -> RegularizationPath:
-    _require_lambda(lam)
+    _require_nonnegative(lam)
     return RegularizationPath.from_samples(samples, grid, degree, penalty, float(lam))
 
 
@@ -544,7 +544,7 @@ def gcv_value(coeffs, penalty: PenaltySequence, lam: float) -> float:
 
 def gcv_trace(penalty: PenaltySequence, lam: float) -> float:
     """Effective residual degrees of freedom sum_modes lam*beta**2/(1+lam*beta**2)."""
-    _require_lambda(lam)
+    _require_nonnegative(lam)
     beta_sq = penalty.beta**2
     return float(np.sum(lam * beta_sq / (1.0 + lam * beta_sq)))
 

@@ -69,6 +69,15 @@ def test_infinite_lambda_is_rejected(cos_problem, lam):
             call()
 
 
+@pytest.mark.parametrize("tau, message", [(math.nan, "must be >= 0, got nan"),
+                                          (math.inf, "must be finite, got inf")])
+def test_barycentric_rejects_non_finite_tau(cos_problem, tau, message):
+    # tau = inf used to give 0 at every point
+    g, samples, _ = cos_problem
+    with pytest.raises(ValueError, match=f"constant weight tau {message}"):
+        tr.evaluate_barycentric(samples, g, 0.1, tau, [0.3])
+
+
 def test_solve_penalty_degree_must_match(cos_problem):
     g, samples, _ = cos_problem
     with pytest.raises(ValueError):

@@ -155,6 +155,14 @@ def test_infinite_lambda_is_config_error(tmp_path, capsys, value, message):
     assert not (tmp_path / "coefficients.csv").exists()
 
 
+def test_infinite_noise_norm_is_config_error(tmp_path, capsys):
+    # it used to reach Morozov and exit 5 with "noise assumption violated"
+    argv = ("select", "--gallery", "f1", "--n", "21", "--strategy", "morozov", "--noise-norm", "inf")
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: config-error: --noise-norm must be finite, got inf")
+    assert not (tmp_path / "chosen.json").exists()
+
+
 def test_approximate_morozov_needs_noise_size(tmp_path, capsys):
     code = run_cli(
         "approximate", "--gallery", "f1", "--n", "21", "--strategy", "morozov",
@@ -514,6 +522,23 @@ def test_back_to_back_calls_share_no_values(tmp_path, capsys):
     assert "chosen_lambda" not in meta
     assert meta["eval_points"] == "10000"
     assert meta["strategy"] == "morozov,lcurve,gcv,oracle"
+
+
+def test_coefficient_table_builds_no_index_objects(tmp_path, capsys, monkeypatch):
+    # the ell,k columns come from the array-valued grid.mode_layout
+    def refuse(*args, **kwargs):
+        raise AssertionError("harmonic_indices called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trigreg") and hasattr(module, "harmonic_indices"):
+            monkeypatch.setattr(module, "harmonic_indices", refuse)
+    assert run_cli("approximate", "--gallery", "f1", "--n", "7", "--lambda", "0.5",
+                   "--output-dir", str(tmp_path)) == 0
+    _, header, rows = read_csv(tmp_path / "coefficients.csv")
+    assert header[:2] == ["ell", "k"]
+    assert [tuple(row[:2]) for row in rows] == [
+        ("0", "1"), ("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"), ("3", "1"), ("3", "2")
+    ]
 
 
 def test_no_command_builds_a_dense_basis(tmp_path, capsys, monkeypatch):

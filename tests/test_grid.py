@@ -101,6 +101,19 @@ def test_harmonic_indices_canonical_order():
     assert len(tr.harmonic_indices(10)) == 21
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 7])
+def test_mode_layout_is_the_canonical_order(degree):
+    ells, branches = tr.mode_layout(degree)
+    assert ells.dtype.kind == branches.dtype.kind == "i"
+    assert list(zip(ells.tolist(), branches.tolist())) == [
+        (i.ell, i.k) for i in tr.harmonic_indices(degree)
+    ]
+    assert all(tr.grid._position(degree, ell, k) == slot
+               for slot, (ell, k) in enumerate(zip(ells.tolist(), branches.tolist())))
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        tr.mode_layout(-1)
+
+
 @pytest.mark.parametrize(
     "ell, k, msg",
     [
@@ -340,3 +353,14 @@ def test_uniform_synthesis_validates_shape_and_points():
         tr.uniform_synthesis(np.ones(4), 10)
     with pytest.raises(ValueError, match="at least one"):
         tr.uniform_synthesis(np.ones(3), 0)
+
+
+@pytest.mark.parametrize("degree, k", [(3, 8), (5, 1000), (5, 4), (6, 13)])
+def test_uniform_synthesis_of_signed_zeros_is_positive_zero(degree, k):
+    # every mode is added into a zero spectrum, folded (2L >= K) or not, so
+    # a -0.0 coefficient cannot leave a -0.0 in the values: zero data is
+    # written as 0.0 (a plain store of the modes would keep -0.0 at (3, 8))
+    coeffs = np.zeros((2, 2 * degree + 1))
+    coeffs[:, ::2] = -0.0
+    values = tr.uniform_synthesis(coeffs, k)
+    assert not np.any(values) and not np.any(np.signbit(values))

@@ -46,6 +46,14 @@ def test_constant_penalty_rejects_negative():
         tr.constant_penalty(2, -0.1)
 
 
+@pytest.mark.parametrize("value, message", [(math.nan, "must be >= 0, got nan"),
+                                            (math.inf, "must be finite, got inf")])
+def test_constant_penalty_rejects_non_finite(value, message):
+    # a NaN weight used to give all-NaN weights, so solve returned NaN coefficients
+    with pytest.raises(ValueError, match=f"constant weight {message}"):
+        tr.constant_penalty(2, value)
+
+
 def test_beta_arrays_are_read_only():
     for pen in (tr.laplace_penalty(3), tr.constant_penalty(3, 2.0)):
         with pytest.raises(ValueError):
