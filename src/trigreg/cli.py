@@ -10,6 +10,10 @@ configuration produces byte-identical outputs.  On failure the process exits
 nonzero after printing a single line ``error: <category>: <message>`` to
 stderr; categories and exit codes are listed in README.md.
 
+The :data:`OPTIONS` table is the one definition of the flags: the parser is
+built from it, and a ``--config`` file's values are parsed as flags, so a
+config value means exactly what its flag means.
+
 The polynomial degree is always tied to the sample count as
 degree = (N - 1)/2, the interpolatory setting.
 """
@@ -26,7 +30,6 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,49 +79,39 @@ class CliError(Exception):
         self.category = category
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    gallery: str | None = None
-    input: str | None = None
-    n: int | None = None
-    strategy: str | None = None
-    snr_db: str | None = None
-    seed: int = 0
-    lam: float | None = None
-    s: float = 1.0
-    zeta0: float = 1.0
-    q: float = 2.0 ** -0.1
-    t_max: int = 400
-    eval_points: int = 10000
-    noise_norm: float | None = None
-    output_dir: str = "."
-    emit_curves: bool = False
+# Every subcommand's run options, (flag, type, default, help): the one
+# definition of the flags, their defaults and the config file's keys.  A bool
+# option is a store_true switch.
+OPTIONS = (
+    ("--gallery", str, None, "built-in signal name (see README)"),
+    ("--input", str, None, "CSV file of samples with columns x,y"),
+    ("--n", int, None, "number of grid points (odd)"),
+    ("--strategy", str, None, "manual|morozov|lcurve|gcv|oracle|all (comma list allowed)"),
+    ("--snr-db", str, None, "noise level(s) in dB: '20', '10,20' or '10:80:10'"),
+    ("--seed", int, 0, "master RNG seed (default 0)"),
+    ("--lambda", float, None, "regularization parameter for --strategy manual"),
+    ("--s", float, 1.0, "penalty exponent (default 1)"),
+    ("--zeta0", float, 1.0, "parameter-grid scale (default 1)"),
+    ("--q", float, 2.0 ** -0.1, "parameter-grid ratio (default 2**-0.1)"),
+    ("--t-max", int, 400, "parameter-grid length (default 400)"),
+    ("--eval-points", int, 10000, "dense evaluation grid size (default 10000)"),
+    ("--noise-norm", float, None, "known weighted noise norm for morozov"),
+    ("--output-dir", str, ".", "directory for output files (default .)"),
+    ("--emit-curves", bool, False, "sweep: also write per-lambda error curves per noise level"),
+)
 
 
-_CONFIG_FIELDS = {
-    "gallery": str,
-    "input": str,
-    "n": int,
-    "strategy": str,
-    "snr_db": str,
-    "seed": int,
-    "lam": float,
-    "s": float,
-    "zeta0": float,
-    "q": float,
-    "t_max": int,
-    "eval_points": int,
-    "noise_norm": float,
-    "output_dir": str,
-    "emit_curves": bool,
-}
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are the CLI's one-line config-error."""
+
+    def error(self, message):
+        raise CliError("config-error", message)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trigreg",
         description="Regularized trigonometric approximation of noisy periodic samples.",
     )
@@ -131,53 +124,50 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
-        p.add_argument("--gallery", help="built-in signal name (see README)")
-        p.add_argument("--input", help="CSV file of samples with columns x,y")
-        p.add_argument("--n", type=int, help="number of grid points (odd)")
-        p.add_argument("--strategy", help="manual|morozov|lcurve|gcv|oracle|all (comma list allowed)")
-        p.add_argument("--snr-db", dest="snr_db", help="noise level(s) in dB: '20', '10,20' or '10:80:10'")
-        p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-        p.add_argument("--lambda", dest="lam", type=float, help="regularization parameter for --strategy manual")
-        p.add_argument("--s", type=float, help="penalty exponent (default 1)")
-        p.add_argument("--zeta0", type=float, help="parameter-grid scale (default 1)")
-        p.add_argument("--q", type=float, help="parameter-grid ratio (default 2**-0.1)")
-        p.add_argument("--t-max", dest="t_max", type=int, help="parameter-grid length (default 400)")
-        p.add_argument("--eval-points", dest="eval_points", type=int, help="dense evaluation grid size (default 10000)")
-        p.add_argument("--noise-norm", dest="noise_norm", type=float, help="known weighted noise norm for morozov")
-        p.add_argument("--output-dir", dest="output_dir", help="directory for output files (default .)")
-        p.add_argument("--emit-curves", dest="emit_curves", action="store_true", default=None,
-                       help="sweep: also write per-lambda error curves per noise level")
+        for flag, kind, default, option_help in OPTIONS:
+            parse = {"action": "store_true"} if kind is bool else {"type": kind}
+            # --snr-db is read as cfg.snr_db; --lambda, a Python keyword, as cfg.lam
+            dest = flag[2:].replace("-", "_").replace("lambda", "lam")
+            p.add_argument(flag, dest=dest, default=default, help=option_help, **parse)
     return parser
 
 
-def build_config(argv) -> RunConfig:
-    """Parse flags, merge an optional JSON config file (flags win), validate."""
-    args = _build_parser().parse_args(argv)
-    merged: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise CliError("io-error", f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError("parse-error", f"config file is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise CliError("config-error", "config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            key = {"lambda": "lam"}.get(key, key).replace("-", "_")
-            if key not in _CONFIG_FIELDS:
-                raise CliError("config-error", f"unknown config key {key!r}")
-            merged[key] = _CONFIG_FIELDS[key](value)
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    cfg = RunConfig(command=args.command, **merged)
+def _config_tokens(path: str) -> list[str]:
+    """The JSON config file at ``path`` as ``--flag=value`` tokens for the parser."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except OSError as exc:
+        raise CliError("io-error", f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise CliError("parse-error", f"config file is not valid JSON: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise CliError("config-error", "config file must hold a JSON object")
+    kinds = {flag: kind for flag, kind, _, _ in OPTIONS}
+    tokens = []
+    for key, value in file_cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in kinds:
+            raise CliError("config-error", f"unknown config key {key!r}")
+        # a switch takes a JSON bool, any other flag a JSON string or number
+        is_bool = isinstance(value, bool)
+        if (kinds[flag] is bool) != is_bool or not isinstance(value, (str, int, float)):
+            raise CliError("config-error", f"config key {key!r} cannot take {json.dumps(value)}")
+        if value is not False:
+            tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
+
+
+def build_config(argv) -> argparse.Namespace:
+    """Parse and validate the flags, a config file's values parsed as flags before them."""
+    argv = list(argv)
+    cfg = _build_parser().parse_args(argv)
+    if cfg.config:  # after the subcommand, so that the typed flags win
+        cfg = _build_parser().parse_args(argv[:1] + _config_tokens(cfg.config) + argv[1:])
     return validate_config(cfg)
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
+def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
     if (cfg.gallery is None) == (cfg.input is None):
         raise CliError("config-error", "exactly one of --gallery or --input is required")
     if cfg.gallery is None and cfg.command == "sweep":
@@ -218,7 +208,7 @@ def _parse_levels(text: str) -> list[float]:
         raise CliError("parse-error", f"cannot parse --snr-db value {text!r}") from None
 
 
-def _parse_strategies(cfg: RunConfig) -> list[str]:
+def _parse_strategies(cfg: argparse.Namespace) -> list[str]:
     approximate = cfg.command == "approximate"
     raw = cfg.strategy or ("manual" if approximate and cfg.lam is not None else "all")
     names = [s.strip() for s in raw.split(",") if s.strip()]
@@ -246,25 +236,27 @@ def _parse_strategies(cfg: RunConfig) -> list[str]:
 def _read_samples_csv(path: str):
     xs, ys = [], []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if row[0].strip().lower() == "x":
+                    continue  # header row
+                if len(row) < 2:
+                    raise CliError("parse-error", f"{path}:{lineno}: expected two columns x,y")
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except ValueError:
+                    raise CliError("parse-error", f"{path}:{lineno}: non-numeric value") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise CliError("parse-error", f"{path}:{lineno}: non-finite value")
+                xs.append(x)
+                ys.append(y)
     except OSError as exc:
         raise CliError("io-error", f"cannot read samples: {exc}")
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "x":
-                continue  # header row
-            if len(row) < 2:
-                raise CliError("parse-error", f"{path}:{lineno}: expected two columns x,y")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                raise CliError("parse-error", f"{path}:{lineno}: non-numeric value") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CliError("parse-error", f"{path}:{lineno}: non-finite value")
-            xs.append(x)
-            ys.append(y)
+    except csv.Error as exc:  # e.g. a field over the reader's size limit
+        raise CliError("parse-error", f"{path}:{reader.line_num}: {exc}") from None
     n = len(xs)
     if n < 3 or n % 2 == 0:
         raise CliError("grid-error", f"need an odd number >= 3 of samples, got {n}")
@@ -279,7 +271,7 @@ def _read_samples_csv(path: str):
     return grid, np.asarray(ys, dtype=float)
 
 
-def _prepare_input(cfg: RunConfig, levels: list[float]):
+def _prepare_input(cfg: argparse.Namespace, levels: list[float]):
     """Resolve (grid, samples, true function or None, realization or None, label)."""
     if cfg.gallery is not None:
         try:
@@ -355,7 +347,7 @@ def _write_csv(path: str, metadata: dict, header: list[str], columns):
     _atomic_write(path, chunks())
 
 
-def _metadata(cfg: RunConfig, grid, source: str, **extra) -> dict:
+def _metadata(cfg: argparse.Namespace, grid, source: str, **extra) -> dict:
     meta = {
         "tool": "trigreg",
         "version": __version__,
@@ -385,7 +377,7 @@ def _metadata(cfg: RunConfig, grid, source: str, **extra) -> dict:
 _Scan = namedtuple("_Scan", "samples func names path reports failures meta")
 
 
-def _scan(cfg: RunConfig) -> _Scan:
+def _scan(cfg: argparse.Namespace) -> _Scan:
     """Levels -> input -> one RegularizationPath -> the named strategies.
 
     The samples are projected once, and every strategy reads that path.
@@ -461,7 +453,7 @@ def _chosen_entry(report):
 # ---------------------------------------------------------------------------
 
 
-def cmd_approximate(cfg: RunConfig) -> int:
+def cmd_approximate(cfg: argparse.Namespace) -> int:
     run = _scan(cfg)
     n, degree = run.path.n_points, run.path.coeffs.size // 2
     strategy = run.names[0]
@@ -504,7 +496,7 @@ def cmd_approximate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_select(cfg: RunConfig) -> int:
+def cmd_select(cfg: argparse.Namespace) -> int:
     run = _scan(cfg)
     chosen = {name: _chosen_entry(report) for name, report in run.reports.items()}
     outdir = cfg.output_dir
@@ -527,7 +519,7 @@ def cmd_select(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     if not cfg.snr_db:
         raise CliError("config-error", "sweep needs --snr-db (e.g. '10:80:10')")
     levels = _parse_levels(cfg.snr_db)

@@ -10,8 +10,10 @@ a power,
 which grows with frequency and vanishes on the constant mode -- the shape all
 selection and error-bound routines require.  A constant-weight form (every
 mode weighted tau, including the constant mode) exists solely to mirror the
-regularized barycentric evaluator and is flagged ``constant_form`` so that
-the selection machinery can reject it.
+regularized barycentric evaluator and is flagged ``constant_form``.  The
+selection machinery does not read that flag: it rejects every penalty whose
+constant-mode weight ``beta[0]`` is nonzero, so it rejects this form for
+every tau > 0.
 """
 
 from __future__ import annotations

@@ -396,8 +396,7 @@ def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: Penalty
 
 
 def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=True, **_):
-    if not noise_norm >= 0:
-        raise ValueError(f"noise norm must be >= 0, got {noise_norm}")
+    _require_nonnegative(noise_norm, "noise norm")
     noise_sq = float(noise_norm) ** 2
     j_vals = path.residual_sq()
     f_vals = j_vals - noise_sq

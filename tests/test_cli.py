@@ -265,6 +265,23 @@ def test_input_csv_shuffled_rows_are_grid_error(tmp_path, capsys):
     assert "in that order" in capsys.readouterr().err
 
 
+def test_input_csv_over_long_field_is_parse_error(tmp_path, capsys):
+    # the csv module refuses a field over 131072 characters; that is a
+    # parse-error naming file and line, not a traceback
+    g = tr.make_grid(11)
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes, np.sin(g.nodes))
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].split(",")[0] + ',"' + "1" * 140_000 + '"'
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli("approximate", "--input", str(path), "--lambda", "0.1",
+                   "--output-dir", str(tmp_path))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse-error: {path}:5: field larger than field limit")
+    assert err.count("\n") == 1
+
+
 def test_input_csv_missing_file_is_io_error(tmp_path, capsys):
     code = run_cli("approximate", "--input", str(tmp_path / "absent.csv"),
                    "--lambda", "0.0", "--output-dir", str(tmp_path))
@@ -460,6 +477,84 @@ def test_config_file_invalid_json(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path, capsys):
     assert run_cli("approximate", "--config", str(tmp_path / "none.json")) == 6
+
+
+# flag -> (a run it validates in, a flag value, the same value as a config
+# file's JSON value, another flag value); one entry per row of cli.OPTIONS
+GALLERY_RUN = ("select", "--gallery", "f1", "--n", "21")
+OPTION_CASES = {
+    "--gallery": (("select", "--n", "21"), "sine", "sine", "f2"),
+    "--input": (("select",), "a.csv", "a.csv", "b.csv"),
+    "--n": (("select", "--gallery", "f1"), "31", 31, "41"),
+    "--strategy": (GALLERY_RUN, "gcv,oracle", "gcv,oracle", "lcurve"),
+    "--snr-db": (GALLERY_RUN, "10:30:10", "10:30:10", "20"),
+    "--seed": (GALLERY_RUN, "7", 7, "8"),
+    "--lambda": (("approximate", "--gallery", "f1", "--n", "21"), "0.25", 0.25, "0.5"),
+    "--s": (GALLERY_RUN, "2", 2, "3"),
+    "--zeta0": (GALLERY_RUN, "1.5", 1.5, "2"),
+    "--q": (GALLERY_RUN, "0.5", 0.5, "0.75"),
+    "--t-max": (GALLERY_RUN, "30", 30, "40"),
+    "--eval-points": (GALLERY_RUN, "2000", 2000, "3000"),
+    "--noise-norm": (GALLERY_RUN, "0.05", 0.05, "0.1"),
+    "--output-dir": (GALLERY_RUN, "out", "out", "other"),
+    "--emit-curves": (("sweep", "--gallery", "f1", "--n", "21"), None, True, None),
+}
+
+
+def _parsed(argv):
+    cfg = vars(cli.build_config(argv))
+    cfg.pop("config")
+    return cfg
+
+
+def _config_file(tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+def test_option_cases_cover_the_option_table():
+    assert list(OPTION_CASES) == [flag for flag, _, _, _ in cli.OPTIONS]
+
+
+@pytest.mark.parametrize("flag", list(OPTION_CASES))
+@pytest.mark.parametrize("separator", ["-", "_"], ids=["dash", "underscore"])
+def test_config_value_parses_like_its_flag(tmp_path, flag, separator):
+    run, text, value, _ = OPTION_CASES[flag]
+    cfg_path = _config_file(tmp_path, {flag[2:].replace("-", separator): value})
+    typed = [flag] if text is None else [flag, text]
+    assert _parsed([*run, "--config", cfg_path]) == _parsed([*run, *typed])
+
+
+# a switch has no second value for a typed flag to set
+@pytest.mark.parametrize("flag", [flag for flag in OPTION_CASES if flag != "--emit-curves"])
+def test_flag_wins_over_config_value(tmp_path, flag):
+    run, _, value, other = OPTION_CASES[flag]
+    cfg_path = _config_file(tmp_path, {flag[2:]: value})
+    assert _parsed([*run, "--config", cfg_path, flag, other]) == _parsed([*run, flag, other])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [{"lambda": None}, {"n": [21]}, {"emit_curves": "false"}, {"n": 21.9}, {"seed": True},
+     {"lam": 0.1}, {"output_dir": None}, {"snr_db": [20]}],
+    ids=json.dumps,
+)
+def test_bad_config_value_is_one_line_config_error(tmp_path, capsys, content):
+    # each of these used to run (or crash with a traceback)
+    argv = ("approximate", "--config", _config_file(tmp_path, content), "--gallery", "f1",
+            "--n", "21", "--lambda", "0.1", "--eval-points", "1000", "--output-dir", str(tmp_path))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config-error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "coefficients.csv").exists()
+
+
+def test_bad_flag_value_is_one_line_config_error(tmp_path, capsys):
+    assert run_cli("select", "--gallery", "f1", "--n", "abc", "--output-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config-error: argument --n: invalid int value: 'abc'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def test_column_writer_streams_in_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert sum(1 for _ in open(tmp_path / "big.csv")) == n_rows + 2
+    with open(tmp_path / "big.csv") as fh:
+        assert sum(1 for _ in fh) == n_rows + 2
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,21 @@ def test_morozov_requires_nonnegative_noise(single_mode):
         tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), -1.0)
 
 
+def test_morozov_refuses_infinite_noise_norm(single_mode):
+    # it used to return a report with no chosen lambda and assumption_ok=False
+    g, samples, pen = single_mode
+    with pytest.raises(ValueError, match="noise norm must be finite, got inf"):
+        tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.inf)
+
+
+def test_run_strategies_refuses_infinite_noise_norm(single_mode):
+    g, samples, pen = single_mode
+    params = tr.parameter_grid()
+    path = tr.RegularizationPath.from_samples(samples, g, 2, pen, params.lambdas)
+    with pytest.raises(ValueError, match="noise norm must be finite, got inf"):
+        tr.run_strategies(path, params, ["morozov"], noise_norm=math.inf)
+
+
 def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be >= 0"):
