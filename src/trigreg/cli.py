@@ -43,7 +43,7 @@ from .grid import (
     uniform_projection,
     uniform_synthesis,
 )
-from .penalty import _require_nonnegative, laplace_penalty
+from .penalty import _require_nonnegative, _require_positive, laplace_penalty
 from .selection import (
     STRATEGIES,
     RegularizationPath,
@@ -102,7 +102,14 @@ OPTIONS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are the CLI's one-line config-error."""
+    """An argument parser whose errors are the CLI's one-line config-error.
+
+    Flags must be spelled in full: a prefix such as ``--lam`` is refused,
+    not taken for the one flag it abbreviates.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError("config-error", message)
@@ -135,10 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_tokens(path: str) -> list[str]:
     """The JSON config file at ``path`` as ``--flag=value`` tokens for the parser."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
     except OSError as exc:
         raise CliError("io-error", f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError("parse-error", f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise CliError("parse-error", f"config file is not valid JSON: {exc}")
     if not isinstance(file_cfg, dict):
@@ -183,9 +192,9 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
         _require_nonnegative(cfg.noise_norm, "--noise-norm")
     if cfg.eval_points < 1000:
         raise CliError("config-error", f"--eval-points must be >= 1000, got {cfg.eval_points}")
-    if not cfg.s > 0:
-        raise CliError("config-error", f"--s must be > 0, got {cfg.s}")
-    if not cfg.zeta0 > 0 or not 0 < cfg.q < 1 or cfg.t_max < 1:
+    _require_positive(cfg.s, "--s")
+    _require_positive(cfg.zeta0, "--zeta0")
+    if not 0 < cfg.q < 1 or cfg.t_max < 1:
         raise CliError("config-error", "parameter grid needs zeta0 > 0, 0 < q < 1, t_max >= 1")
     return cfg
 
@@ -233,10 +242,25 @@ def _parse_strategies(cfg: argparse.Namespace) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _undecodable_line(path: str) -> int:
+    """The line holding the first byte of ``path`` that is not UTF-8.
+
+    The text reader decodes ahead in chunks, so its own position does not
+    tell the line; the error path reads the bytes once more instead.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1  # the file changed under the reader
+
+
 def _read_samples_csv(path: str):
     xs, ys = [], []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             for lineno, row in enumerate(reader, start=1):
                 if not row or row[0].lstrip().startswith("#"):
@@ -257,6 +281,8 @@ def _read_samples_csv(path: str):
         raise CliError("io-error", f"cannot read samples: {exc}")
     except csv.Error as exc:  # e.g. a field over the reader's size limit
         raise CliError("parse-error", f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CliError("parse-error", f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
     n = len(xs)
     if n < 3 or n % 2 == 0:
         raise CliError("grid-error", f"need an odd number >= 3 of samples, got {n}")

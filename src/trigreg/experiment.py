@@ -22,6 +22,16 @@ Gallery conventions
 ``square``   sign(sin(x))                     (unit amplitude, 0 at the jumps)
 ``sawtooth`` x/pi on [-pi, pi), continued 2*pi-periodically (unit amplitude)
 ``triangle`` (2/pi) * arcsin(sin(x))          (unit amplitude)
+
+Sweep errors
+------------
+Errors are measured on the K-point evaluation grid
+``uniform_eval_points(K)``, K >= 2L + 1.  The L2 curve is Parseval on that
+grid (:meth:`~trigreg.selection.RegularizationPath.l2_error`).  The uniform
+error of each lambda is max |p_lam - f|, with p_lam - f formed in the rfft
+domain of the grid: the spectrum of the samples' polynomial
+(:func:`~trigreg.grid.uniform_spectrum`) scaled per frequency by the
+solve's shrink factor, minus rfft(f), and then one irfft.
 """
 
 from __future__ import annotations
@@ -35,9 +45,10 @@ from .grid import (
     FourierCoefficients,
     analyze,
     make_grid,
+    mode_layout,
     uniform_eval_points,
     uniform_projection,
-    uniform_synthesis,
+    uniform_spectrum,
 )
 from .penalty import laplace_penalty
 from .selection import (
@@ -264,18 +275,46 @@ class SweepReport:
     rows: tuple
 
 
-_SYNTHESIS_BLOCK = 32  # lambdas per irfft
+# Lambdas per irfft in the uniform-error sweep.  A count, not a memory
+# budget: each irfft call also pays a set-up cost that grows with K (about
+# 50 ms at K = 10**5 + 1, whose prime factor 9091 takes Bluestein's
+# algorithm), so fewer rows per call at large K would multiply it.  On a
+# 2-core x86_64 host, 16 beat 32 at K = 10**4 (28 against 32 ms per
+# 400-lambda row) and tied it at K = 10**5 + 1.
+_SYNTHESIS_BLOCK = 16
 
 
-def _uniform_errors(path: RegularizationPath, lambdas, truth: np.ndarray) -> np.ndarray:
-    """Max |p_lam - f| over the evaluation grid of ``truth`` for each lambda,
-    in (block, K) syntheses: no (T, K) array is formed."""
+def _uniform_errors(path: RegularizationPath, lambdas, truth_spectrum: np.ndarray,
+                    n_points: int) -> np.ndarray:
+    """Max |p_lam - f| over ``uniform_eval_points(K)`` for each lambda.
+
+    ``truth_spectrum`` is rfft(f) on those K points, and K >= 2L + 1, so
+    bin ell of :func:`~trigreg.grid.uniform_spectrum` holds frequency ell
+    alone and the solve scales it by 1/(1 + lam*beta_ell**2).  The spectrum
+    of p_lam - f is therefore that scaled head minus the truth's head, then
+    the truth's negated tail.  One buffer per call holds the tail, written
+    once; each block of lambdas writes only its (block, L+1) head, and one
+    irfft and one max-abs reduction give the errors.  No (T, K) array is
+    formed.
+    """
+    degree = path.coeffs.size // 2
+    ells, _ = mode_layout(degree)
+    beta_sq = np.empty(degree + 1)  # per frequency: cosine and sine share beta
+    beta_sq[ells] = path.beta_sq
+    base = uniform_spectrum(path.coeffs, n_points)[: degree + 1]
+    spectra = np.empty((min(_SYNTHESIS_BLOCK, len(lambdas)), truth_spectrum.size), dtype=complex)
+    np.negative(truth_spectrum[degree + 1 :], out=spectra[:, degree + 1 :])
     errors = np.empty(len(lambdas))
     for start in range(0, len(lambdas), _SYNTHESIS_BLOCK):
-        part = slice(start, start + _SYNTHESIS_BLOCK)
-        diff = uniform_synthesis(path.alpha(lambdas[part]).T, truth.size)
-        diff -= truth
-        errors[part] = np.abs(diff, out=diff).max(axis=-1)
+        lam = lambdas[start : start + _SYNTHESIS_BLOCK]
+        spec = spectra[: lam.size]
+        head = spec[:, : degree + 1]
+        damping = np.multiply.outer(lam, beta_sq)
+        damping += 1.0
+        np.divide(base, damping, out=head)
+        head -= truth_spectrum[: degree + 1]
+        diff = np.fft.irfft(spec, n=n_points)
+        errors[start : start + lam.size] = np.abs(diff, out=diff).max(axis=-1)
     return errors
 
 
@@ -319,9 +358,10 @@ def sweep(
     clean = np.asarray(func(grid.nodes), dtype=float)
 
     # The L2 curves come from the closed-form path (Parseval on the evaluation
-    # grid); the uniform errors from synthesis on that grid.
+    # grid); the uniform errors from p_lam - f in the rfft domain of that grid.
     truth = np.asarray(func(uniform_eval_points(eval_points)), dtype=float)
     projected_truth = uniform_projection(truth, degree)
+    truth_spectrum = np.fft.rfft(truth)
 
     rows = []
     for i, snr_db in enumerate(snr_levels):
@@ -339,7 +379,7 @@ def sweep(
         columns = range(params.t_max) if emit_curves else sorted(
             {report.chosen_index for report in reports.values()}
         )
-        uniform = _uniform_errors(path, params.lambdas[list(columns)], truth)
+        uniform = _uniform_errors(path, params.lambdas[list(columns)], truth_spectrum, eval_points)
         uniform_at = dict(zip(columns, uniform.tolist()))
 
         # a failed strategy keeps None entries

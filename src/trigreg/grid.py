@@ -18,9 +18,12 @@ the squared remainder ||f - P_L f||**2, in O(N log N) time and O(N) memory,
 on the sample grid (:func:`analyze` and the regularization path) and on the
 K-point evaluation grid (the oracle error curves) alike.
 :func:`uniform_synthesis` is its inverse, one irfft from coefficients to the
-values on any K-point equispaced grid (dense evaluation, node residuals,
-uniform errors), exact for every K >= 1.  Both take the (-1)**ell phase and
-the basis normalization from :func:`_mode_factors`.  A fixed numpy build
+values on any K-point equispaced grid (dense evaluation, node residuals),
+exact for every K >= 1; the half-spectrum it transforms is
+:func:`uniform_spectrum`, the one definition of the alias fold and of the
+bin weights, which the sweep's uniform errors also start from.  Both
+directions take the (-1)**ell phase and the basis normalization from
+:func:`_mode_factors`.  A fixed numpy build
 fixes the FFT's summation order, so results are reproducible run to run, and
 its roundoff grows like log N, where a direct sum's grows with ell*x.
 :func:`basis_matrix` and :func:`synthesize` remain for arbitrary points.
@@ -54,6 +57,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "uniform_projection",
+    "uniform_spectrum",
     "uniform_synthesis",
 ]
 
@@ -283,7 +287,7 @@ def _mode_factors(degree: int) -> np.ndarray:
 
     They hold the (-1)**ell phase of a grid that starts at -pi and the basis
     normalization 1/sqrt(2*pi) (ell = 0) or 1/sqrt(pi), for the one rfft of
-    :func:`uniform_projection` and the one irfft of :func:`uniform_synthesis`.
+    :func:`uniform_projection` and the spectrum of :func:`uniform_spectrum`.
     """
     factors = np.where(np.arange(degree + 1) % 2 == 0, 1.0, -1.0) / np.sqrt(np.pi)
     factors[0] = 1.0 / np.sqrt(TWO_PI)
@@ -327,18 +331,19 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     return coeffs, TWO_PI / k * float(np.dot(rest, rest))
 
 
-def uniform_synthesis(coeffs, n_points: int) -> np.ndarray:
-    """Values at ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
+def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:
+    """Half-spectrum on ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
 
     ``coeffs`` has shape (..., 2*degree + 1) in canonical order; the result
-    has shape (..., K), one irfft along the last axis (Cooley and Tukey,
-    1965), and inverts :func:`uniform_projection` whenever
-    K >= 2*degree + 1.  It is exact for every K >= 1: on K points mode ell
-    takes the values of frequency ell mod K, and a frequency above K/2 those
-    of its mirror K minus it with the sine negated, so modes above K/2 are
-    folded onto their alias rather than dropped.  The constant bin and, for
-    even K, the Nyquist bin are real and counted once by the irfft, so they
-    carry twice the weight of the others.
+    has shape (..., K//2 + 1), and its irfft with n=K along the last axis is
+    the polynomials' values (:func:`uniform_synthesis`).  It holds for every
+    K >= 1: on K points mode ell takes the values of frequency ell mod K,
+    and a frequency above K/2 those of its mirror K minus it with the sine
+    negated, so modes above K/2 are folded onto their alias rather than
+    dropped.  The constant bin and, for even K, the Nyquist bin are real and
+    counted once by the irfft, so they carry twice the weight of the others.
+    When K >= 2*degree + 1, nothing folds and bin ell holds frequency ell
+    alone.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim < 1 or coeffs.shape[-1] % 2 == 0:
@@ -366,4 +371,16 @@ def uniform_synthesis(coeffs, n_points: int) -> np.ndarray:
     spec[..., 0] *= 2.0
     if k % 2 == 0:
         spec[..., -1] *= 2.0
-    return np.fft.irfft(spec, n=k)
+    return spec
+
+
+def uniform_synthesis(coeffs, n_points: int) -> np.ndarray:
+    """Values at ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
+
+    ``coeffs`` has shape (..., 2*degree + 1) in canonical order; the result
+    has shape (..., K), one irfft along the last axis (Cooley and Tukey,
+    1965) of :func:`uniform_spectrum`, and inverts
+    :func:`uniform_projection` whenever K >= 2*degree + 1.  It is exact for
+    every K >= 1.
+    """
+    return np.fft.irfft(uniform_spectrum(coeffs, n_points), n=int(n_points))

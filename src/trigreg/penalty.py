@@ -59,16 +59,23 @@ def _require_nonnegative(value, what: str = "regularization parameter"):
         raise ValueError(f"{what} must be finite, got {value}")
 
 
+def _require_positive(value, what: str):
+    """Refuse a nonpositive or NaN scalar (``not value > 0``) and +inf."""
+    if not value > 0:
+        raise ValueError(f"{what} must be > 0, got {value}")
+    if value == np.inf:
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
     """Power-law weights beta(ell, k) = ell**s (zero on the constant mode).
 
-    The exponent must be positive; s = 1 matches second-derivative smoothing,
-    larger s penalizes high frequencies more aggressively.
+    The exponent must be positive and finite; s = 1 matches second-derivative
+    smoothing, larger s penalizes high frequencies more aggressively.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if not s > 0:
-        raise ValueError(f"smoothness exponent s must be > 0, got {s}")
+    _require_positive(s, "smoothness exponent s")
     beta = mode_layout(degree)[0].astype(float) ** float(s)
     beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta, exponent_s=float(s))

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import TrapezoidalGrid, _validated_samples, uniform_eval_points, uniform_projection
-from .penalty import PenaltySequence, _require_nonnegative
+from .penalty import PenaltySequence, _require_nonnegative, _require_positive
 
 __all__ = [
     "SelectionError",
@@ -84,10 +84,9 @@ class ParameterGrid:
 def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400) -> ParameterGrid:
     """Build the candidate grid; defaults span [2**-40, 2**-0.1].
 
-    Requires zeta0 > 0, 0 < q < 1 and t_max >= 1.
+    Requires a finite zeta0 > 0, 0 < q < 1 and t_max >= 1.
     """
-    if not zeta0 > 0:
-        raise ValueError(f"zeta0 must be > 0, got {zeta0}")
+    _require_positive(zeta0, "zeta0")
     if not 0.0 < q < 1.0:
         raise ValueError(f"ratio q must lie strictly between 0 and 1, got {q}")
     if t_max < 1:

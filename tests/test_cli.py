@@ -163,6 +163,44 @@ def test_infinite_noise_norm_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "chosen.json").exists()
 
 
+FINITE_MESSAGES = {"inf": "finite, got inf", "nan": "> 0, got nan"}
+
+
+@pytest.mark.parametrize("flag", ["--zeta0", "--s"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_grid_or_penalty_scalar_is_config_error(tmp_path, capsys, flag, value):
+    # --zeta0 inf used to print ok with every lambda inf, --s inf ok with
+    # three strategies failed
+    argv = ("select", "--gallery", "f1", "--n", "21", "--snr-db", "20", f"{flag}={value}")
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config-error: {flag} must be {FINITE_MESSAGES[value]}\n"
+    assert not (tmp_path / "chosen.json").exists()
+
+
+@pytest.mark.parametrize("key", ["zeta0", "s"])
+@pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400], ids=["1e400", "400-digit"])
+def test_overflowing_config_number_is_config_error(tmp_path, capsys, key, number):
+    # JSON reads both as numbers that only a float of inf can hold
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(f'{{"{key}": {number}}}')
+    argv = ("select", "--gallery", "f1", "--n", "21", "--snr-db", "20", "--config", str(cfg_path))
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: config-error: --{key} must be finite, got inf\n"
+    assert not (tmp_path / "chosen.json").exists()
+
+
+@pytest.mark.parametrize("prefix, value", [("--lam", "0.1"), ("--out", "o"), ("--eval", "2000")])
+def test_flag_prefix_is_config_error(tmp_path, capsys, prefix, value):
+    # argparse took a unique prefix for the flag it abbreviates
+    argv = ("approximate", "--gallery", "f1", "--n", "21", "--lambda", "0.1",
+            "--output-dir", str(tmp_path), prefix, value)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config-error: unrecognized arguments: {prefix} {value}\n"
+    assert not (tmp_path / "coefficients.csv").exists()
+
+
 def test_approximate_morozov_needs_noise_size(tmp_path, capsys):
     code = run_cli(
         "approximate", "--gallery", "f1", "--n", "21", "--strategy", "morozov",
@@ -280,6 +318,18 @@ def test_input_csv_over_long_field_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: parse-error: {path}:5: field larger than field limit")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("comment_lines", [0, 400], ids=["first-chunk", "past-first-chunk"])
+def test_input_csv_not_utf8_is_parse_error_naming_line(tmp_path, capsys, comment_lines):
+    # comment lines push the bad byte past the text reader's first decoded chunk
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"# padding padding padding padding\n" * comment_lines + b"x,y\n\xff\xfe,1\n")
+    code = run_cli("approximate", "--input", str(path), "--lambda", "0.1",
+                   "--output-dir", str(tmp_path))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: parse-error: {path}:{comment_lines + 2}: not UTF-8 text\n"
 
 
 def test_input_csv_missing_file_is_io_error(tmp_path, capsys):
@@ -473,6 +523,15 @@ def test_config_file_invalid_json(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text("{not json")
     assert run_cli("approximate", "--config", str(cfg_path)) == 3
+
+
+def test_config_file_not_utf8_is_parse_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b'\xff{"n": 21}')
+    assert run_cli("approximate", "--config", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse-error: {cfg_path}: not UTF-8 text")
+    assert err.count("\n") == 1
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -265,6 +265,42 @@ def test_sweep_emit_curves_shapes():
     assert rep.rows[0].chosen_index["oracle"] == int(np.argmin(l2_curve))
 
 
+def _sweep_path(func, rep, row):
+    """The regularization path ``sweep`` built for ``row`` (default s)."""
+    grid, degree = tr.make_grid(rep.n_points), rep.degree
+    noisy = tr.add_noise_snr(func(grid.nodes), row.snr_db, row.row_seed).noisy
+    return tr.RegularizationPath.from_samples(
+        noisy, grid, degree, tr.laplace_penalty(degree), rep.params.lambdas
+    )
+
+
+@pytest.mark.parametrize("name", tr.gallery_names())
+@pytest.mark.parametrize("k", [1000, 1001])
+def test_sweep_uniform_curve_matches_dense_evaluation(name, k):
+    # an independent reference: every p_lam on the K points from one GEMM
+    # with the basis matrix, minus f, max-abs per column; T = 100 is no
+    # multiple of the sweep's block of lambdas, so the last block is partial
+    func = tr.gallery(name)
+    rep = tr.sweep(name, 101, snr_levels=(20.0, 60.0), eval_points=k, emit_curves=True,
+                   params=tr.parameter_grid(t_max=100))
+    x = tr.uniform_eval_points(k)
+    basis = tr.basis_matrix(x, 50)
+    for row in rep.rows:
+        diff = basis @ _sweep_path(func, rep, row).alpha() - func(x)[:, None]
+        assert_allclose(row.curve[1], np.abs(diff).max(axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", tr.gallery_names())
+def test_sweep_uniform_at_chosen_equals_the_curve(name):
+    levels = (10.0, 50.0, 80.0)
+    curves = tr.sweep(name, 101, snr_levels=levels, emit_curves=True)
+    chosen = tr.sweep(name, 101, snr_levels=levels)
+    for with_curve, row in zip(curves.rows, chosen.rows):
+        assert row.curve is None
+        for strategy, idx in row.chosen_index.items():
+            assert row.uniform[strategy] == with_curve.curve[1][idx]
+
+
 def test_sweep_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strateg"):
         tr.sweep("f1", 21, snr_levels=(20.0,), strategies=("ridge",), seed=1)

@@ -348,6 +348,25 @@ def test_uniform_synthesis_inverts_projection(degree, k):
     assert remainder < 1e-25
 
 
+@pytest.mark.parametrize("degree, k", SYNTHESIS_CASES)
+def test_uniform_synthesis_is_the_irfft_of_uniform_spectrum(degree, k):
+    coeffs = np.random.default_rng(degree * k).standard_normal((3, 2 * degree + 1))
+    spectrum = tr.uniform_spectrum(coeffs, k)
+    assert spectrum.shape == (3, k // 2 + 1)
+    assert np.array_equal(np.fft.irfft(spectrum, n=k), tr.uniform_synthesis(coeffs, k))
+
+
+@pytest.mark.parametrize("degree, k", [(d, k) for d, k in SYNTHESIS_CASES if k >= 2 * d + 1])
+def test_uniform_spectrum_is_the_rfft_of_the_values(degree, k):
+    # nothing folds when K >= 2L+1: bin ell holds frequency ell alone, with
+    # the constant (and even-K Nyquist) bin weighted as rfft weights it
+    coeffs = np.random.default_rng(degree + k).standard_normal(2 * degree + 1)
+    values = tr.basis_matrix(tr.uniform_eval_points(k), degree) @ coeffs
+    spectrum = tr.uniform_spectrum(coeffs, k)
+    assert_allclose(spectrum, np.fft.rfft(values), rtol=0, atol=1e-12 * k)
+    assert not np.any(spectrum[degree + 1:])
+
+
 def test_uniform_synthesis_validates_shape_and_points():
     with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
         tr.uniform_synthesis(np.ones(4), 10)

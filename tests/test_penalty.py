@@ -30,6 +30,10 @@ def test_laplace_zero_on_constant_mode_any_exponent():
 def test_laplace_validation():
     with pytest.raises(ValueError, match="s must be > 0"):
         tr.laplace_penalty(2, 0.0)
+    with pytest.raises(ValueError, match="s must be > 0, got nan"):
+        tr.laplace_penalty(2, float("nan"))
+    with pytest.raises(ValueError, match="s must be finite, got inf"):
+        tr.laplace_penalty(2, float("inf"))
     with pytest.raises(ValueError, match="degree must be >= 0"):
         tr.laplace_penalty(-1)
 

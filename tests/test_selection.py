@@ -52,6 +52,8 @@ def test_custom_grid():
         ({"q": 0.0}, "strictly between 0 and 1"),
         ({"zeta0": -1.0}, "zeta0 must be > 0"),
         ({"t_max": 0}, "t_max must be >= 1"),
+        ({"zeta0": float("nan")}, "zeta0 must be > 0, got nan"),
+        ({"zeta0": float("inf")}, "zeta0 must be finite, got inf"),
     ],
 )
 def test_grid_validation(kwargs, msg):
