@@ -7,14 +7,15 @@ Usage, from the repository root (stdlib and numpy only):
 For each sample count N in 501 and 4001 and each evaluation grid size K in
 10**4 and 10**5 + 1 it builds the regularization path of one noisy f1 row
 (20 dB, default parameter grid, T = 400) and reports the median time of
-``experiment._uniform_errors`` over all T lambdas, as ``sweep`` runs it
+``experiment.uniform_error_curve`` over all T lambdas, as ``sweep`` runs it
 with ``emit_curves``, and the peak memory one such call allocates
 (tracemalloc).  Work done once per sweep, such as sampling the true function
 and its real FFT, is outside the timed call.
 
 ``--src`` imports ``trigreg`` from another source tree, so two trees can be
-compared on one machine; trees whose ``_uniform_errors`` takes the sampled
-truth instead of its spectrum are called that way.  Prints one JSON object.
+compared on one machine.  Older trees name the function ``_uniform_errors``,
+and the oldest take the sampled truth instead of its spectrum; each is called
+its own way.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def _median_ms(call, repeats: int) -> float:
 
 
 def row_call(trigreg, n: int, k: int):
-    """A no-argument call of ``_uniform_errors`` on one sweep row."""
+    """A no-argument call of the uniform-error curve on one sweep row."""
     experiment = trigreg.experiment
+    curve = getattr(experiment, "uniform_error_curve", None) or experiment._uniform_errors
     grid, degree = trigreg.make_grid(n), (n - 1) // 2
     func = trigreg.gallery("f1")
     noisy = trigreg.add_noise_snr(func(grid.nodes), 20.0, seed=n).noisy
@@ -55,10 +57,10 @@ def row_call(trigreg, n: int, k: int):
         noisy, grid, degree, trigreg.laplace_penalty(degree), lambdas
     )
     truth = np.asarray(func(trigreg.uniform_eval_points(k)), dtype=float)
-    if "truth_spectrum" in inspect.signature(experiment._uniform_errors).parameters:
+    if "truth_spectrum" in inspect.signature(curve).parameters:
         spectrum = np.fft.rfft(truth)
-        return lambda: experiment._uniform_errors(path, lambdas, spectrum, k)
-    return lambda: experiment._uniform_errors(path, lambdas, truth)
+        return lambda: curve(path, lambdas, spectrum, k)
+    return lambda: curve(path, lambdas, truth)
 
 
 def main(argv=None) -> int:

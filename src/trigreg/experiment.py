@@ -28,10 +28,10 @@ Sweep errors
 Errors are measured on the K-point evaluation grid
 ``uniform_eval_points(K)``, K >= 2L + 1.  The L2 curve is Parseval on that
 grid (:meth:`~trigreg.selection.RegularizationPath.l2_error`).  The uniform
-error of each lambda is max |p_lam - f|, with p_lam - f formed in the rfft
-domain of the grid: the spectrum of the samples' polynomial
-(:func:`~trigreg.grid.uniform_spectrum`) scaled per frequency by the
-solve's shrink factor, minus rfft(f), and then one irfft.
+error of each lambda is max |p_lam - f| (:func:`uniform_error_curve`), with
+p_lam - f formed in the rfft domain of the grid: the spectrum of the
+samples' polynomial (:func:`~trigreg.grid.uniform_spectrum`) scaled per
+frequency by the solve's shrink factor, minus rfft(f), and then one irfft.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ __all__ = [
     "SweepRow",
     "SweepReport",
     "add_noise_snr",
-    "l2_error",
-    "uniform_error",
+    "uniform_error_curve",
     "gallery",
     "gallery_names",
     "vallee_poussin",
@@ -124,34 +123,6 @@ def add_noise_snr(clean, snr_db: float, seed: int) -> NoisyRealization:
         eps_sup=float(np.max(np.abs(epsilon))),
         eps_wnorm=float(np.sqrt(TWO_PI / n * np.dot(epsilon, epsilon))),
     )
-
-
-# ---------------------------------------------------------------------------
-# Error metrics
-# ---------------------------------------------------------------------------
-
-
-def _eval_diff(approximant, true_function, eval_points: int) -> np.ndarray:
-    if eval_points < 1000:
-        raise ValueError(f"eval_points must be >= 1000, got {eval_points}")
-    x = uniform_eval_points(eval_points)
-    return np.asarray(approximant(x), dtype=float) - np.asarray(
-        true_function(x), dtype=float
-    )
-
-
-def l2_error(approximant, true_function, eval_points: int = 10000) -> float:
-    """Discretized L2 distance sqrt((2*pi/K) * sum (p - f)**2) on K equidistant
-    evaluation angles.  ``approximant`` is anything callable on angle arrays.
-    """
-    diff = _eval_diff(approximant, true_function, eval_points)
-    return float(np.sqrt(TWO_PI / eval_points * np.dot(diff, diff)))
-
-
-def uniform_error(approximant, true_function, eval_points: int = 10000) -> float:
-    """Max absolute deviation over the same evaluation grid as :func:`l2_error`."""
-    diff = _eval_diff(approximant, true_function, eval_points)
-    return float(np.max(np.abs(diff)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +194,8 @@ def vallee_poussin(f, n: int, quad_points: int) -> FourierCoefficients:
         )
     grid = make_grid(quad_points)
     coeffs = analyze(np.asarray(f(grid.nodes), dtype=float), grid, 2 * n - 1)
-    taper = np.array(
-        [vallee_poussin_filter(idx.ell, n) for idx in coeffs.indices()]
-    )
+    ells, _ = mode_layout(coeffs.degree)
+    taper = np.array([vallee_poussin_filter(ell, n) for ell in ells.tolist()])
     return FourierCoefficients(
         degree=coeffs.degree, values=taper * coeffs.values, n_points=quad_points
     )
@@ -284,18 +254,19 @@ class SweepReport:
 _SYNTHESIS_BLOCK = 16
 
 
-def _uniform_errors(path: RegularizationPath, lambdas, truth_spectrum: np.ndarray,
-                    n_points: int) -> np.ndarray:
-    """Max |p_lam - f| over ``uniform_eval_points(K)`` for each lambda.
+def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.ndarray,
+                        n_points: int) -> np.ndarray:
+    """Uniform error max |p_lam - f| over ``uniform_eval_points(K)`` for each lambda.
 
-    ``truth_spectrum`` is rfft(f) on those K points, and K >= 2L + 1, so
-    bin ell of :func:`~trigreg.grid.uniform_spectrum` holds frequency ell
-    alone and the solve scales it by 1/(1 + lam*beta_ell**2).  The spectrum
-    of p_lam - f is therefore that scaled head minus the truth's head, then
-    the truth's negated tail.  One buffer per call holds the tail, written
-    once; each block of lambdas writes only its (block, L+1) head, and one
-    irfft and one max-abs reduction give the errors.  No (T, K) array is
-    formed.
+    ``p_lam`` is the solution of ``path`` at each of ``lambdas`` (a 1-d
+    array), ``truth_spectrum`` is rfft(f) on the K = ``n_points`` points,
+    and K >= 2L + 1, so bin ell of :func:`~trigreg.grid.uniform_spectrum`
+    holds frequency ell alone and the solve scales it by
+    1/(1 + lam*beta_ell**2).  The spectrum of p_lam - f is therefore that
+    scaled head minus the truth's head, then the truth's negated tail.  One
+    buffer per call holds the tail, written once; each block of lambdas
+    writes only its (block, L+1) head, and one irfft and one max-abs
+    reduction give the errors.  No (T, K) array is formed.
     """
     degree = path.coeffs.size // 2
     ells, _ = mode_layout(degree)
@@ -379,7 +350,7 @@ def sweep(
         columns = range(params.t_max) if emit_curves else sorted(
             {report.chosen_index for report in reports.values()}
         )
-        uniform = _uniform_errors(path, params.lambdas[list(columns)], truth_spectrum, eval_points)
+        uniform = uniform_error_curve(path, params.lambdas[list(columns)], truth_spectrum, eval_points)
         uniform_at = dict(zip(columns, uniform.tolist()))
 
         # a failed strategy keeps None entries

@@ -50,7 +50,6 @@ __all__ = [
     "harmonic_indices",
     "make_grid",
     "uniform_eval_points",
-    "eval_harmonic",
     "basis_matrix",
     "discrete_inner",
     "weighted_norm",
@@ -118,14 +117,6 @@ def harmonic_indices(degree: int) -> list[HarmonicIndex]:
     return [HarmonicIndex(ell, k) for ell, k in zip(*(a.tolist() for a in mode_layout(degree)))]
 
 
-def _position(degree: int, ell: int, k: int) -> int:
-    """Array offset of mode (ell, k) in canonical ordering."""
-    HarmonicIndex(ell, k)  # validates the pair
-    if ell > degree:
-        raise ValueError(f"mode ({ell}, {k}) exceeds degree {degree}")
-    return 0 if ell == 0 else 2 * ell - 1 + (k - 1)
-
-
 @dataclass(frozen=True)
 class TrapezoidalGrid:
     """Equidistant nodes on [-pi, pi) with the uniform weight 2*pi/N."""
@@ -156,20 +147,6 @@ def uniform_eval_points(n_points: int) -> np.ndarray:
     if n_points < 1:
         raise ValueError(f"need at least one evaluation point, got {n_points}")
     return -np.pi + TWO_PI * np.arange(int(n_points)) / int(n_points)
-
-
-def eval_harmonic(index: HarmonicIndex, x):
-    """Evaluate one basis mode at angle(s) x (reduced mod 2*pi first)."""
-    theta = reduce_angle(x)
-    scalar = np.ndim(theta) == 0
-    theta = np.atleast_1d(theta)
-    if index.ell == 0:
-        out = np.full_like(theta, 1.0 / np.sqrt(TWO_PI))
-    elif index.k == 1:
-        out = np.cos(index.ell * theta) / np.sqrt(np.pi)
-    else:
-        out = np.sin(index.ell * theta) / np.sqrt(np.pi)
-    return float(out[0]) if scalar else out
 
 
 def basis_matrix(points, degree: int) -> np.ndarray:
@@ -215,20 +192,13 @@ class FourierCoefficients:
 
     ``values`` follows the canonical harmonic ordering and has length
     2*degree + 1.  ``n_points`` records the grid size the coefficients were
-    analyzed on (several consumers need to know whether N = 2*degree + 1).
-    Instances are callable: ``coeffs(x)`` synthesizes the polynomial at x.
+    analyzed on.  Instances are callable: ``coeffs(x)`` synthesizes the
+    polynomial at x.
     """
 
     degree: int
     values: np.ndarray
     n_points: int
-
-    def coefficient(self, ell: int, k: int) -> float:
-        """Coefficient of mode (ell, k)."""
-        return float(self.values[_position(self.degree, ell, k)])
-
-    def indices(self) -> list[HarmonicIndex]:
-        return harmonic_indices(self.degree)
 
     def __call__(self, points):
         return synthesize(self, points)

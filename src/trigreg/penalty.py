@@ -71,12 +71,21 @@ def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
     """Power-law weights beta(ell, k) = ell**s (zero on the constant mode).
 
     The exponent must be positive and finite; s = 1 matches second-derivative
-    smoothing, larger s penalizes high frequencies more aggressively.
+    smoothing, larger s penalizes high frequencies more aggressively.  Every
+    consumer squares the weights, so the top squared weight degree**(2*s)
+    must be a finite float.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     _require_positive(s, "smoothness exponent s")
-    beta = mode_layout(degree)[0].astype(float) ** float(s)
+    with np.errstate(over="ignore"):  # refused below
+        beta = mode_layout(degree)[0].astype(float) ** float(s)
+        top_sq = beta[-1] ** 2
+    if not np.isfinite(top_sq):
+        raise ValueError(
+            f"smoothness exponent s = {s} is too steep for degree {degree}: "
+            f"the top squared weight {degree}**(2*s) overflows"
+        )
     beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta, exponent_s=float(s))
 

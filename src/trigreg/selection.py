@@ -43,15 +43,8 @@ __all__ = [
     "SelectionReport",
     "parameter_grid",
     "residual_sq",
-    "penalty_sq",
-    "residual_sq_prime",
-    "penalty_sq_prime",
-    "lcurve_curvature",
     "select_morozov",
     "select_lcurve",
-    "gcv_value",
-    "gcv_trace",
-    "gcv_bounds",
     "select_gcv",
     "select_oracle",
     "STRATEGIES",
@@ -84,7 +77,8 @@ class ParameterGrid:
 def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400) -> ParameterGrid:
     """Build the candidate grid; defaults span [2**-40, 2**-0.1].
 
-    Requires a finite zeta0 > 0, 0 < q < 1 and t_max >= 1.
+    Requires a finite zeta0 > 0, 0 < q < 1, t_max >= 1 and a smallest value
+    zeta0*q**t_max that is a normal float (not 0.0 or subnormal).
     """
     _require_positive(zeta0, "zeta0")
     if not 0.0 < q < 1.0:
@@ -92,6 +86,11 @@ def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     lambdas = zeta0 * np.power(float(q), np.arange(1, int(t_max) + 1, dtype=float))
+    if lambdas[-1] < np.finfo(float).tiny:
+        raise ValueError(
+            f"parameter grid underflows: zeta0*q**t_max = {float(lambdas[-1])!r} with zeta0={zeta0}, "
+            f"q={q}, t_max={t_max} is below the smallest normal float {float(np.finfo(float).tiny)!r}"
+        )
     lambdas.flags.writeable = False
     return ParameterGrid(zeta0=float(zeta0), q=float(q), t_max=int(t_max), lambdas=lambdas)
 
@@ -136,9 +135,8 @@ def _require_selection_penalty(penalty: PenaltySequence):
 
 
 # ---------------------------------------------------------------------------
-# Per-lambda diagnostics.  Every one is a closed form in the coefficients of
-# the samples, held by RegularizationPath; the scalar functions below are
-# thin views of it.
+# Per-lambda diagnostics: closed forms in the coefficients of the samples,
+# held by RegularizationPath.  residual_sq below reads one at one lambda.
 # ---------------------------------------------------------------------------
 
 # Entries per (block, 2L+1) temporary in a path scan: 32 KB of float64.
@@ -164,16 +162,16 @@ class RegularizationPath:
     as the coefficients (:func:`~trigreg.grid.uniform_projection`), never as
     ||f||**2 - ||c||**2, which cancels catastrophically.  ``n_points`` is N.
 
-    ``lambdas`` is a scalar or a 1-d array, and each diagnostic comes back
-    as a float or an array of that length.  :meth:`residual_sq` and
-    :meth:`alpha` also take an explicit ``lam`` in place of ``lambdas``, for
-    the discrepancy bisection and for single solutions.  Each evaluation
-    costs O(L) per lambda, with no basis matrix.
+    ``lambdas`` is a 1-d array, and each diagnostic comes back as a fresh
+    array of that length.  :meth:`residual_sq` and :meth:`alpha` also take
+    one explicit ``lam`` in place of ``lambdas``, for the discrepancy
+    bisection and for single solutions.  Each evaluation costs O(L) per
+    lambda, with no basis matrix.
     """
 
     coeffs: np.ndarray
     beta_sq: np.ndarray
-    lambdas: np.ndarray | float
+    lambdas: np.ndarray
     r0: float
     n_points: int
 
@@ -206,11 +204,10 @@ class RegularizationPath:
         temporaries (1.6 MB each at N = 501) made every scan fault in fresh
         memory pages.
         """
-        lambdas = np.atleast_1d(self.lambdas)
         step = max(1, _BLOCK_ELEMENTS // self.beta_sq.size)
-        for start in range(0, lambdas.size, step):
+        for start in range(0, self.lambdas.size, step):
             part = slice(start, start + step)
-            yield (part, *self._factors(lambdas[part]))
+            yield (part, *self._factors(self.lambdas[part]))
 
     @cached_property
     def _sums(self):
@@ -219,7 +216,7 @@ class RegularizationPath:
         c_sq = self.coeffs**2
         seminorm_weights = self.beta_sq * c_sq
         slope_weights = -2.0 * (self.beta_sq**2 * c_sq)
-        fit, seminorm, slope, trace = np.empty((4, np.size(self.lambdas)))
+        fit, seminorm, slope, trace = np.empty((4, self.lambdas.size))
         for part, shrink, weight in self._blocks():
             trace[part] = weight.sum(axis=1)
             weight *= weight
@@ -230,43 +227,48 @@ class RegularizationPath:
             slope[part] = shrink_sq @ slope_weights
         return fit, seminorm, slope, trace
 
-    def _out(self, values):
-        """A fresh scalar or array shaped like ``lambdas``."""
-        return float(values[0]) if np.ndim(self.lambdas) == 0 else values.copy()
-
     def alpha(self, lam=None):
         """Regularized coefficients s*c, one column per lambda."""
         shrink, _ = self._factors(self.lambdas if lam is None else lam)
         return (shrink * self.coeffs).T
 
     def residual_sq(self, lam=None):
-        """J: weighted squared node residual of the regularized solution."""
+        """J: weighted squared node residual of the regularized solution, at
+        every path lambda or, as a float, at one explicit ``lam``."""
         if lam is None:
-            return self._out(self.r0 + self._sums[0])
+            return self.r0 + self._sums[0]
         _, weight = self._factors(lam)
-        value = self.r0 + weight**2 @ self.coeffs**2
-        return float(value) if np.ndim(value) == 0 else value
+        return float(self.r0 + weight**2 @ self.coeffs**2)
 
     def penalty_sq(self):
         """K: squared smoothness seminorm of the regularized solution."""
-        return self._out(self._sums[1])
+        return self._sums[1].copy()
 
     def penalty_sq_prime(self):
         """K': derivative of K in lambda (nonpositive)."""
-        return self._out(self._sums[2])
-
-    def residual_sq_prime(self):
-        """J': derivative of J in lambda, by the exchange identity J' = -lam*K'."""
-        return self._out(-self.lambdas * self._sums[2])
+        return self._sums[2].copy()
 
     def curvature(self):
-        """Signed L-curve curvature kappa at every lambda (see :func:`lcurve_curvature`)."""
-        return _curvature(self.residual_sq(), self.penalty_sq(), self.penalty_sq_prime(), self.lambdas)
+        """Signed curvature of the L-curve (log J, log K) at every lambda.
+
+        The exchange identity J' = -lam*K' eliminates J', giving
+
+            kappa = J*K/|K'| * (lam*K'*J + J*K + lam**2*K'*K)
+                    / (lam**2*K**2 + J**2)**1.5.
+
+        Undefined where J or K vanishes (exact fit, nothing penalized) or
+        where K' is not strictly negative.
+        """
+        fit, k, k_prime, _ = self._sums
+        j, lam = self.r0 + fit, self.lambdas
+        num = lam * k_prime * j + j * k + lam**2 * k_prime * k
+        den = (lam**2 * k**2 + j**2) ** 1.5
+        return j * k / np.abs(k_prime) * num / den
 
     def gcv(self):
         """GCV score V = sum (w*c)**2 / (sum w)**2; valid on interpolatory grids only."""
         fit, _, _, trace = self._sums
-        return self._out(fit / trace**2)
+        return fit / trace**2
 
     def l2_error(self, truth_coeffs, remainder: float):
         """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
@@ -283,7 +285,7 @@ class RegularizationPath:
             shrink *= shrink
             errors[part] = shrink.sum(axis=1)
         errors += remainder
-        return self._out(np.sqrt(errors, out=errors))
+        return np.sqrt(errors, out=errors)
 
     def discrepancy_bounds(self) -> tuple[float, float]:
         """Morozov's noise bounds sqrt(J(0)) and sqrt(r0 + sum_{ell>=1} c**2),
@@ -292,75 +294,17 @@ class RegularizationPath:
         return math.sqrt(self.residual_sq(0.0)), math.sqrt(self.r0 + float(varying @ varying))
 
 
-def _scalar_path(samples, grid, degree, penalty, lam) -> RegularizationPath:
-    _require_nonnegative(lam)
-    return RegularizationPath.from_samples(samples, grid, degree, penalty, float(lam))
-
-
 def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
     """Weighted squared residual (2*pi/N) * sum_j (p_lam(x_j) - f_j)**2.
 
-    Evaluated in closed form as r0 + sum_modes (lam*beta**2/(1+lam*beta**2))**2 * c**2,
-    where r0 is the residual no degree-L polynomial removes (0 when
-    N = 2*degree + 1; see :class:`RegularizationPath`).  Strictly increasing
-    in lam whenever any penalized mode is active in the data.
+    Read from the one-lambda path of the samples, in closed form as
+    r0 + sum_modes (lam*beta**2/(1+lam*beta**2))**2 * c**2 (see
+    :class:`RegularizationPath`).  Strictly increasing in lam whenever any
+    penalized mode is active in the data.
     """
-    return _scalar_path(samples, grid, degree, penalty, lam).residual_sq()
-
-
-def penalty_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
-    """Squared smoothness seminorm sum_modes beta**2/(1 + lam*beta**2)**2 * c**2
-    of the solved approximant (c are the unshrunk coefficients).
-
-    Strictly decreasing in lam on the same condition that makes
-    :func:`residual_sq` increasing.
-    """
-    return _scalar_path(samples, grid, degree, penalty, lam).penalty_sq()
-
-
-def residual_sq_prime(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
-    """Closed-form derivative of :func:`residual_sq` with respect to lam:
-    sum_modes 2*lam*beta**4/(1 + lam*beta**2)**3 * c**2 (nonnegative).
-    """
-    return _scalar_path(samples, grid, degree, penalty, lam).residual_sq_prime()
-
-
-def penalty_sq_prime(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
-    """Closed-form derivative of :func:`penalty_sq` with respect to lam:
-    -sum_modes 2*beta**4/(1 + lam*beta**2)**3 * c**2 (nonpositive).
-
-    Satisfies the exchange identity residual_sq' = -lam * penalty_sq'.
-    """
-    return _scalar_path(samples, grid, degree, penalty, lam).penalty_sq_prime()
-
-
-def lcurve_curvature(rho: float, eta: float, eta_prime: float, lam: float) -> float:
-    """Signed curvature of the L-curve (log rho, log eta) at lambda = lam.
-
-    Uses the residual/seminorm exchange identity rho' = -lam * eta' to
-    eliminate rho', giving
-
-        kappa = rho*eta/|eta'| * (lam*eta'*rho + rho*eta + lam**2*eta'*eta)
-                / (lam**2*eta**2 + rho**2)**1.5.
-
-    Negative at an L-shaped corner.  Undefined when eta or rho vanishes
-    (nothing penalized / exact fit) or when eta' is not strictly negative.
-    """
-    if not rho > 0:
-        raise ValueError(f"curvature undefined: residual must be > 0, got {rho}")
-    if not eta > 0:
-        raise ValueError(f"curvature undefined: seminorm must be > 0, got {eta}")
-    if not eta_prime < 0:
-        raise ValueError(
-            f"curvature undefined: seminorm derivative must be < 0, got {eta_prime}"
-        )
-    return float(_curvature(rho, eta, eta_prime, lam))
-
-
-def _curvature(rho, eta, eta_prime, lam):
-    num = lam * eta_prime * rho + rho * eta + lam**2 * eta_prime * eta
-    den = (lam**2 * eta**2 + rho**2) ** 1.5
-    return rho * eta / np.abs(eta_prime) * num / den
+    _require_nonnegative(lam)
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, np.array([float(lam)]))
+    return float(path.residual_sq()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +435,19 @@ def _require_penalized_data(path, name: str):
         )
 
 
+def _require_no_nan(values, name: str, what: str):
+    """Refuse an objective that holds a NaN: argmin and argmax would pick the first one."""
+    nans = np.count_nonzero(np.isnan(values))
+    if nans:
+        raise InapplicableStrategyError(
+            f"{name} is inapplicable: {what} is NaN at {nans} of {values.size} grid lambdas"
+        )
+
+
 def _run_lcurve(path, params, **_):
     _require_penalized_data(path, "L-curve")
     kappa = path.curvature()
+    _require_no_nan(kappa, "L-curve", "the curvature")
     idx = int(np.argmax(np.abs(kappa)))
     return SelectionReport(
         strategy="lcurve",
@@ -504,62 +458,6 @@ def _run_lcurve(path, params, **_):
         penalty_sq=path.penalty_sq(),
         curvature=kappa,
     )
-
-
-# ---------------------------------------------------------------------------
-# GCV
-# ---------------------------------------------------------------------------
-
-
-def gcv_value(coeffs, penalty: PenaltySequence, lam: float) -> float:
-    """Closed-form GCV score on an interpolatory grid (N = 2*degree + 1):
-
-        V(lam) = sum_modes (lam*beta**2/(1+lam*beta**2) * c)**2
-                 / [sum_modes lam*beta**2/(1+lam*beta**2)]**2.
-
-    Undefined at lam = 0 (the trace denominator vanishes); refused when the
-    coefficients were not analyzed on an interpolatory grid, because the
-    shortcut identifying the residual with shrunk coefficients holds only
-    there.
-    """
-    _require_selection_penalty(penalty)
-    if coeffs.degree != penalty.degree:
-        raise ValueError(
-            f"coefficient degree {coeffs.degree} does not match penalty degree "
-            f"{penalty.degree}"
-        )
-    if coeffs.n_points != 2 * coeffs.degree + 1:
-        raise ValueError(
-            "the closed-form GCV score requires coefficients from an interpolatory "
-            f"grid with n_points = 2*degree + 1, got n_points = {coeffs.n_points}"
-        )
-    if not lam > 0:
-        raise ValueError(f"the GCV score is undefined at lam = {lam}; it needs lam > 0")
-    if gcv_trace(penalty, lam) == 0.0:
-        raise ValueError("the GCV score is undefined: the penalty traces to zero")
-    return RegularizationPath(coeffs.values, penalty.beta**2, float(lam), 0.0, coeffs.n_points).gcv()
-
-
-def gcv_trace(penalty: PenaltySequence, lam: float) -> float:
-    """Effective residual degrees of freedom sum_modes lam*beta**2/(1+lam*beta**2)."""
-    _require_nonnegative(lam)
-    beta_sq = penalty.beta**2
-    return float(np.sum(lam * beta_sq / (1.0 + lam * beta_sq)))
-
-
-def gcv_bounds(coeffs, lam: float) -> tuple[float, float]:
-    """A-priori envelope for the GCV score from the extreme |coefficients|:
-
-        0.5*(lam*z_min/(1+lam))**2  <=  V(lam)  <=  (1+lam)**2 * z_max**2 / (2*lam**2).
-    """
-    if not lam > 0:
-        raise ValueError(f"the GCV envelope needs lam > 0, got {lam}")
-    z = np.abs(coeffs.values)
-    z_min = float(z.min())
-    z_max = float(z.max())
-    lower = 0.5 * (lam * z_min / (1.0 + lam)) ** 2
-    upper = (1.0 + lam) ** 2 * z_max**2 / (2.0 * lam**2)
-    return lower, upper
 
 
 def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
@@ -581,6 +479,7 @@ def _run_gcv(path, params, **_):
         )
     _require_penalized_data(path, "GCV")
     v_vals = path.gcv()
+    _require_no_nan(v_vals, "GCV", "the GCV score")
     idx = int(np.argmin(v_vals))
     return SelectionReport(
         strategy="gcv",
@@ -610,6 +509,7 @@ def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
 
 def _run_oracle(path, params, truth=None, **_):
     errs = path.l2_error(*truth)
+    _require_no_nan(errs, "oracle", "the L2 error")
     idx = int(np.argmin(errs))
     return SelectionReport(
         strategy="oracle",

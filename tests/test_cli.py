@@ -190,6 +190,34 @@ def test_overflowing_config_number_is_config_error(tmp_path, capsys, key, number
     assert not (tmp_path / "chosen.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "1001", "--s", "60"), "smoothness exponent s = 60.0 is too steep for degree 500"),
+    (("--n", "101", "--q", "0.5", "--t-max", "1100"), "parameter grid underflows: zeta0*q**t_max = 0.0"),
+], ids=["penalty", "grid"])
+def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, message):
+    # both used to print ok, with picks from NaN or zero-lambda diagnostics
+    argv = ("select", "--gallery", "f1", "--snr-db", "20", *flags, "--output-dir", str(tmp_path))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    assert not (tmp_path / "chosen.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # beta**4 overflows at s = 40
+def test_nan_objective_is_a_strategy_failure(tmp_path, capsys):
+    # --strategy lcurve used to print ok lambda_lcurve=0.933 from all-NaN curvature
+    argv = ("select", "--gallery", "f1", "--n", "1001", "--snr-db", "20", "--s", "40",
+            "--output-dir", str(tmp_path))
+    assert run_cli(*argv, "--strategy", "lcurve") == 5
+    assert capsys.readouterr().err == (
+        "error: strategy-error: L-curve is inapplicable: the curvature is NaN at 400 of 400 grid lambdas\n"
+    )
+    assert run_cli(*argv, "--strategy", "all") == 0
+    assert "lambda_lcurve=failed lambda_gcv=0.000122" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "chosen.json").read_text())
+    assert "NaN at 400 of 400" in payload["failed"]["lcurve"]
+    assert sorted(payload["chosen"]) == ["gcv", "morozov", "oracle"]
+
+
 @pytest.mark.parametrize("prefix, value", [("--lam", "0.1"), ("--out", "o"), ("--eval", "2000")])
 def test_flag_prefix_is_config_error(tmp_path, capsys, prefix, value):
     # argparse took a unique prefix for the flag it abbreviates

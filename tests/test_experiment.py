@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference as ref
+
 import trigreg as tr
 
 
@@ -68,26 +70,32 @@ def test_higher_snr_means_smaller_noise():
 def test_error_metrics_on_zero_approximant():
     g = tr.make_grid(7)
     zero = tr.solve(np.zeros(7), g, 3, 0.0, tr.laplace_penalty(3))
-    # ||0 - sin||_2 over the circle is sqrt(pi); sup is 1
-    assert tr.l2_error(zero, np.sin) == pytest.approx(math.sqrt(np.pi), rel=1e-6)
-    assert tr.uniform_error(zero, np.sin) == pytest.approx(1.0, rel=1e-6)
+    # ||0 - sin||_2 over the circle is sqrt(pi); sup is 1 (the dense
+    # reference metrics the library's error curves are checked against)
+    assert ref.l2_error(zero, np.sin) == pytest.approx(math.sqrt(np.pi), rel=1e-6)
+    assert ref.uniform_error(zero, np.sin) == pytest.approx(1.0, rel=1e-6)
+    path = tr.RegularizationPath.from_samples(np.zeros(7), g, 3, tr.laplace_penalty(3), np.zeros(1))
+    sine = np.sin(tr.uniform_eval_points(10000))
+    assert path.l2_error(*tr.uniform_projection(sine, 3))[0] == pytest.approx(math.sqrt(np.pi), rel=1e-6)
+    assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(sine), 10000)[0] == pytest.approx(
+        1.0, rel=1e-6
+    )
 
 
 def test_error_metrics_validate_resolution():
     g = tr.make_grid(7)
-    approx = tr.solve(np.zeros(7), g, 3, 0.0, tr.laplace_penalty(3))
     with pytest.raises(ValueError, match=">= 1000"):
-        tr.l2_error(approx, np.sin, eval_points=999)
-    with pytest.raises(ValueError, match=">= 1000"):
-        tr.uniform_error(approx, np.sin, eval_points=10)
+        tr.select_oracle(np.zeros(7), g, 3, tr.laplace_penalty(3), tr.parameter_grid(t_max=5),
+                         np.sin, eval_points=999)
 
 
 def test_perfect_reconstruction_has_tiny_error():
     g = tr.make_grid(31)
     f = tr.gallery("f1")
-    approx = tr.solve(f(g.nodes), g, 15, 0.0, tr.laplace_penalty(15))
-    assert tr.l2_error(approx, f) < 1e-12
-    assert tr.uniform_error(approx, f) < 1e-12
+    path = tr.RegularizationPath.from_samples(f(g.nodes), g, 15, tr.laplace_penalty(15), np.zeros(1))
+    truth = f(tr.uniform_eval_points(10000))
+    assert path.l2_error(*tr.uniform_projection(truth, 15))[0] < 1e-12
+    assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(truth), 10000)[0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +168,9 @@ def test_vp_output_degree_and_taper():
     out = tr.vallee_poussin(lambda x: np.sin(6 * x), 4, 17)
     assert out.degree == 7
     # the surviving coefficient is the taper value times sqrt(pi)
-    assert out.coefficient(6, 2) == pytest.approx(0.5 * math.sqrt(np.pi), rel=1e-12)
+    ells, branches = tr.mode_layout(out.degree)
+    sine6 = out.values[(ells == 6) & (branches == 2)]
+    assert sine6 == pytest.approx([0.5 * math.sqrt(np.pi)], rel=1e-12)
 
 
 def test_vp_quadrature_validation():

@@ -38,6 +38,13 @@ def test_laplace_validation():
         tr.laplace_penalty(-1)
 
 
+def test_laplace_refuses_an_overflowing_top_weight():
+    # every consumer squares beta: 500**(2*57) is a float, 500**(2*58) is not
+    assert np.isfinite(tr.laplace_penalty(500, 57.0).beta[-1] ** 2)
+    with pytest.raises(ValueError, match=r"s = 58.0 is too steep for degree 500: .* 500\*\*\(2\*s\)"):
+        tr.laplace_penalty(500, 58.0)
+
+
 def test_constant_penalty_fills_every_mode():
     pen = tr.constant_penalty(2, 1.5)
     assert pen.constant_form

@@ -1,4 +1,4 @@
-"""Parameter grid, scalar diagnostics, and the lambda selection strategies.
+"""Parameter grid, path diagnostics, and the lambda selection strategies.
 
 The single-mode problem f = cos x on five nodes admits hand values for every
 diagnostic: the only penalized coefficient is sqrt(pi) at (1, 1), so
@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference as ref
+
 import trigreg as tr
 
 
@@ -21,6 +23,10 @@ import trigreg as tr
 def single_mode():
     g = tr.make_grid(5)
     return g, np.cos(g.nodes), tr.laplace_penalty(2, 1.0)
+
+
+def _path(samples, grid, degree, penalty, *lambdas):
+    return tr.RegularizationPath.from_samples(samples, grid, degree, penalty, np.array(lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +44,15 @@ def test_default_grid_geometry():
     assert params.lambdas[29] == pytest.approx(0.125, rel=1e-12)
     assert params.lambdas[-1] == pytest.approx(2.0**-40, rel=1e-12)
     assert np.all(np.diff(params.lambdas) < 0)
+
+
+def test_grid_refuses_values_below_the_smallest_normal_float():
+    # 2**-1022 is the smallest normal float; 0.5**1100 underflows to 0.0
+    assert tr.parameter_grid(q=0.5, t_max=1022).lambdas[-1] == 2.0**-1022
+    with pytest.raises(ValueError, match="underflows: zeta0\\*q\\*\\*t_max = 1.1125"):
+        tr.parameter_grid(q=0.5, t_max=1023)
+    with pytest.raises(ValueError, match="= 0.0 with zeta0=1.0, q=0.5, t_max=1100"):
+        tr.parameter_grid(q=0.5, t_max=1100)
 
 
 def test_custom_grid():
@@ -62,17 +77,18 @@ def test_grid_validation(kwargs, msg):
 
 
 # ---------------------------------------------------------------------------
-# scalar diagnostics
+# path diagnostics
 # ---------------------------------------------------------------------------
 
 
 def test_single_mode_hand_values(single_mode):
     g, samples, pen = single_mode
+    path = _path(samples, g, 2, pen, 1.0, 0.0)
     assert tr.residual_sq(samples, g, 2, pen, 1.0) == pytest.approx(np.pi / 4, rel=1e-13)
-    assert tr.penalty_sq(samples, g, 2, pen, 1.0) == pytest.approx(np.pi / 4, rel=1e-13)
-    assert tr.residual_sq_prime(samples, g, 2, pen, 1.0) == pytest.approx(np.pi / 4, rel=1e-13)
-    assert tr.penalty_sq_prime(samples, g, 2, pen, 1.0) == pytest.approx(-np.pi / 4, rel=1e-13)
-    assert tr.penalty_sq(samples, g, 2, pen, 0.0) == pytest.approx(np.pi, rel=1e-13)
+    assert path.residual_sq()[0] == pytest.approx(np.pi / 4, rel=1e-13)
+    assert path.penalty_sq()[0] == pytest.approx(np.pi / 4, rel=1e-13)
+    assert path.penalty_sq_prime()[0] == pytest.approx(-np.pi / 4, rel=1e-13)
+    assert path.penalty_sq()[1] == pytest.approx(np.pi, rel=1e-13)
     assert tr.residual_sq(samples, g, 2, pen, 0.0) == pytest.approx(0.0, abs=1e-25)
 
 
@@ -110,7 +126,7 @@ def test_residual_matches_literal_node_sum_off_interpolation():
         approx = tr.solve(samples, g, 6, lam, pen)
         brute = g.weight * np.sum((approx(g.nodes) - samples) ** 2)
         assert tr.residual_sq(samples, g, 6, pen, lam) == pytest.approx(brute, rel=1e-13)
-    # the vectorized scan gives the same values as the scalar wrapper
+    # the path scan gives the same values as the one-lambda function
     j_scan = path.residual_sq()
     for k in (0, 17, 59):
         lam = params.lambdas[k]
@@ -147,10 +163,11 @@ def test_path_scan_matches_whole_path_formulas(n_points):
 def test_path_interpolatory_remainder_is_exactly_zero():
     g = tr.make_grid(13)
     samples = np.random.default_rng(1).standard_normal(13)
-    path = tr.RegularizationPath.from_samples(samples, g, 6, tr.laplace_penalty(6), 0.5)
+    path = _path(samples, g, 6, tr.laplace_penalty(6), 0.5)
     assert path.r0 == 0.0
     assert path.residual_sq(0.0) == 0.0
-    assert isinstance(path.residual_sq(), float)
+    assert isinstance(path.residual_sq(0.0), float)
+    assert path.residual_sq().shape == (1,)
 
 
 @pytest.mark.parametrize("degree", [50, 20])
@@ -159,7 +176,7 @@ def test_morozov_upper_bound_is_mean_residual_norm(degree):
     interpolatory (L = 50) and non-interpolatory (L = 20) grids alike."""
     g = tr.make_grid(101)
     samples = np.exp(np.cos(g.nodes)) + 2.0 + np.random.default_rng(9).standard_normal(101)
-    path = tr.RegularizationPath.from_samples(samples, g, degree, tr.laplace_penalty(degree), 0.5)
+    path = _path(samples, g, degree, tr.laplace_penalty(degree), 0.5)
     lower, upper = path.discrepancy_bounds()
     assert upper == pytest.approx(tr.weighted_norm(samples - np.mean(samples), g), rel=1e-12)
     assert lower == math.sqrt(path.r0)
@@ -179,13 +196,17 @@ def test_selectors_reject_non_finite_samples(bad):
 
 
 def test_exchange_identity_between_derivatives():
+    """-lam*K' equals J' = sum 2*lam*beta**4/(1 + lam*beta**2)**3 * c**2,
+    the derivative of J summed mode by mode."""
     g = tr.make_grid(11)
     rng = np.random.default_rng(8)
     samples = rng.standard_normal(11)
     pen = tr.laplace_penalty(5, 1.5)
-    for lam in (0.01, 0.5, 3.0):
-        jp = tr.residual_sq_prime(samples, g, 5, pen, lam)
-        kp = tr.penalty_sq_prime(samples, g, 5, pen, lam)
+    lams = np.array([0.01, 0.5, 3.0])
+    path = tr.RegularizationPath.from_samples(samples, g, 5, pen, lams)
+    c, b_sq = tr.analyze(samples, g, 5).values, pen.beta**2
+    for lam, kp in zip(lams, path.penalty_sq_prime()):
+        jp = float(np.sum(2 * lam * b_sq**2 / (1 + lam * b_sq) ** 3 * c**2))
         assert jp == pytest.approx(-lam * kp, rel=1e-13)
 
 
@@ -198,7 +219,7 @@ def test_diagnostics_reject_constant_form_penalty(single_mode):
 def test_diagnostics_reject_negative_lambda(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match=">= 0"):
-        tr.penalty_sq(samples, g, 2, pen, -1.0)
+        tr.residual_sq(samples, g, 2, pen, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +230,25 @@ def test_diagnostics_reject_negative_lambda(single_mode):
 def test_curvature_single_mode_hand_value():
     # at lam = 1: rho = eta = pi/4, eta' = -pi/4, and the log-log curve has
     # curvature -1/(2*sqrt(2)) there
-    kappa = tr.lcurve_curvature(np.pi / 4, np.pi / 4, -np.pi / 4, 1.0)
+    g = tr.make_grid(5)
+    kappa = _path(np.cos(g.nodes), g, 2, tr.laplace_penalty(2), 1.0).curvature()[0]
     assert kappa == pytest.approx(-1 / (2 * math.sqrt(2)), rel=1e-13)
 
 
 def test_curvature_matches_finite_difference(single_mode):
     """Closed-form curvature agrees with differencing the log-log curve."""
     g, samples, pen = single_mode
-
-    def log_coords(lam):
-        return (
-            math.log(tr.residual_sq(samples, g, 2, pen, lam)),
-            math.log(tr.penalty_sq(samples, g, 2, pen, lam)),
-        )
-
     for lam in (0.2, 1.0, 5.0):
         h = 1e-4 * lam
-        u0, v0 = log_coords(lam - h)
-        u1, v1 = log_coords(lam)
-        u2, v2 = log_coords(lam + h)
+        path = _path(samples, g, 2, pen, lam - h, lam, lam + h)
+        u0, u1, u2 = np.log(path.residual_sq())
+        v0, v1, v2 = np.log(path.penalty_sq())
         du = (u2 - u0) / (2 * h)
         dv = (v2 - v0) / (2 * h)
         ddu = (u2 - 2 * u1 + u0) / h**2
         ddv = (v2 - 2 * v1 + v0) / h**2
         fd = (du * ddv - ddu * dv) / (du**2 + dv**2) ** 1.5
-        closed = tr.lcurve_curvature(
-            tr.residual_sq(samples, g, 2, pen, lam),
-            tr.penalty_sq(samples, g, 2, pen, lam),
-            tr.penalty_sq_prime(samples, g, 2, pen, lam),
-            lam,
-        )
-        assert closed == pytest.approx(fd, rel=1e-4)
-
-
-@pytest.mark.parametrize(
-    "rho, eta, eta_prime, msg",
-    [
-        (0.0, 1.0, -1.0, "residual must be > 0"),
-        (1.0, 0.0, -1.0, "seminorm must be > 0"),
-        (1.0, 1.0, 0.0, "seminorm derivative must be < 0"),
-    ],
-)
-def test_curvature_validation(rho, eta, eta_prime, msg):
-    with pytest.raises(ValueError, match=msg):
-        tr.lcurve_curvature(rho, eta, eta_prime, 1.0)
+        assert path.curvature()[1] == pytest.approx(fd, rel=1e-4)
 
 
 def test_lcurve_picks_maximum_curvature(single_mode):
@@ -369,11 +365,8 @@ def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be >= 0"):
         tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.nan)
-    for diagnostic in (tr.residual_sq, tr.penalty_sq, tr.residual_sq_prime, tr.penalty_sq_prime):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            diagnostic(samples, g, 2, pen, math.nan)
     with pytest.raises(ValueError, match="must be >= 0"):
-        tr.gcv_trace(pen, math.nan)
+        tr.residual_sq(samples, g, 2, pen, math.nan)
 
 
 def test_exhaustion_error_is_a_selection_error():
@@ -387,54 +380,34 @@ def test_exhaustion_error_is_a_selection_error():
 
 
 def test_gcv_trace_hand_value(single_mode):
-    # sum over modes of lam*beta^2/(1+lam*beta^2) = 2*(1/2) + 2*(4/5) = 2.6
-    _, _, pen = single_mode
-    assert tr.gcv_trace(pen, 1.0) == pytest.approx(2.6, rel=1e-14)
+    # sum over modes of lam*beta^2/(1+lam*beta^2) = 2*(1/2) + 2*(4/5) = 2.6;
+    # on an interpolatory grid V = J / trace**2
+    g, samples, pen = single_mode
+    path = _path(samples, g, 2, pen, 1.0)
+    assert math.sqrt(path.residual_sq()[0] / path.gcv()[0]) == pytest.approx(2.6, rel=1e-14)
 
 
 def test_gcv_value_hand_value(single_mode):
     g, samples, pen = single_mode
-    c = tr.analyze(samples, g, 2)
     # numerator (pi/4) over trace 2.6 squared
-    assert tr.gcv_value(c, pen, 1.0) == pytest.approx((np.pi / 4) / 6.76, rel=1e-13)
+    assert _path(samples, g, 2, pen, 1.0).gcv()[0] == pytest.approx((np.pi / 4) / 6.76, rel=1e-13)
 
 
 def test_gcv_value_matches_explicit_matrices(single_mode):
     """The shortcut equals the defining quotient assembled from matrices."""
     g, samples, pen = single_mode
-    c = tr.analyze(samples, g, 2)
+    lams = (0.3, 1.0, 4.0)
+    closed_scores = _path(samples, g, 2, pen, *lams).gcv()
     mat = tr.basis_matrix(g.nodes, 2)
     w = np.eye(5) * g.weight
     b_sq = np.diag(pen.beta**2)
-    for lam in (0.3, 1.0, 4.0):
+    for lam, closed in zip(lams, closed_scores):
         gram = mat.T @ w @ mat + lam * b_sq
         alpha = np.linalg.solve(gram, mat.T @ w @ samples)
         resid = np.sqrt(np.diag(w)) * (mat @ alpha - samples)
         smoother = np.sqrt(w) @ mat @ np.linalg.solve(gram, mat.T @ np.sqrt(w))
         explicit = float(resid @ resid) / float(np.trace(np.eye(5) - smoother)) ** 2
-        assert tr.gcv_value(c, pen, lam) == pytest.approx(explicit, rel=1e-12)
-
-
-def test_gcv_value_refuses_zero_lambda(single_mode):
-    g, samples, pen = single_mode
-    c = tr.analyze(samples, g, 2)
-    with pytest.raises(ValueError, match="needs lam > 0"):
-        tr.gcv_value(c, pen, 0.0)
-
-
-def test_gcv_value_refuses_non_interpolatory_coefficients():
-    g = tr.make_grid(11)
-    c = tr.analyze(np.cos(g.nodes), g, 2)  # 11 nodes but degree 2
-    with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
-        tr.gcv_value(c, tr.laplace_penalty(2), 1.0)
-
-
-def test_gcv_envelope_brackets_score(single_mode):
-    g, samples, pen = single_mode
-    c = tr.analyze(samples, g, 2)
-    for lam in (0.05, 1.0, 20.0):
-        lower, upper = tr.gcv_bounds(c, lam)
-        assert lower <= tr.gcv_value(c, pen, lam) <= upper
+        assert closed == pytest.approx(explicit, rel=1e-12)
 
 
 def test_select_gcv_minimizes_score(single_mode):
@@ -442,8 +415,10 @@ def test_select_gcv_minimizes_score(single_mode):
     rep = tr.select_gcv(samples, g, 2, pen, tr.parameter_grid())
     assert rep.strategy == "gcv"
     assert rep.chosen_index == int(np.argmin(rep.gcv))
-    explicit = [tr.gcv_value(tr.analyze(samples, g, 2), pen, l) for l in rep.lambdas[:5]]
-    assert_allclose(rep.gcv[:5], explicit, rtol=1e-13)
+    # V = sum (w*c)**2 / (sum w)**2 with w = lam*beta**2/(1 + lam*beta**2)
+    c, b_sq = tr.analyze(samples, g, 2).values, pen.beta**2
+    weight = np.outer(rep.lambdas[:5], b_sq) / (1 + np.outer(rep.lambdas[:5], b_sq))
+    assert_allclose(rep.gcv[:5], ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2, rtol=1e-13)
 
 
 def test_select_gcv_requires_interpolatory_grid():
@@ -465,6 +440,26 @@ def test_select_gcv_refuses_constant_data():
         tr.select_gcv(np.full(11, 2.5), g, 5, tr.laplace_penalty(5), tr.parameter_grid())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaNs come from overflow
+def test_selectors_refuse_a_nan_objective():
+    # argmax and argmin return the first NaN, so these used to pick from it
+    g = tr.make_grid(1001)
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
+    steep = tr.laplace_penalty(500, 40.0)  # beta**4 = ell**160 overflows in K'
+    with pytest.raises(tr.InapplicableStrategyError, match="curvature is NaN at 400 of 400"):
+        tr.select_lcurve(noisy, g, 500, steep, tr.parameter_grid())
+    g = tr.make_grid(101)
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
+    deep = tr.parameter_grid(q=0.5, t_max=1000)  # down to 9.3e-302
+    with pytest.raises(tr.InapplicableStrategyError, match="GCV score is NaN at 447 of 1000"):
+        tr.select_gcv(noisy, g, 50, tr.laplace_penalty(50), deep)
+    params = tr.parameter_grid(t_max=10)
+    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), params.lambdas)
+    reports, failures = tr.run_strategies(path, params, ["oracle"], truth=(path.coeffs, math.nan))
+    assert reports == {}
+    assert failures["oracle"] == "oracle is inapplicable: the L2 error is NaN at 10 of 10 grid lambdas"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -483,9 +478,7 @@ def test_oracle_minimizes_true_error():
     # spot-check the tabulated error curve against the standalone metric
     k = rep.chosen_index
     approx = tr.solve(noisy, g, 10, params.lambdas[k], pen)
-    assert rep.l2_error[k] == pytest.approx(
-        tr.l2_error(approx, tr.gallery("f1"), eval_points=2000), rel=1e-12
-    )
+    assert rep.l2_error[k] == pytest.approx(ref.l2_error(approx, tr.gallery("f1"), 2000), rel=1e-12)
 
 
 @pytest.mark.parametrize("eval_points", [10000, 2001])
@@ -499,7 +492,7 @@ def test_oracle_curve_matches_dense_l2_error(eval_points):
     rep = tr.select_oracle(noisy, g, 50, pen, params, f, eval_points=eval_points)
     for k in (0, 40, rep.chosen_index, 250, 399):
         approx = tr.solve(noisy, g, 50, params.lambdas[k], pen)
-        dense = tr.l2_error(approx, f, eval_points=eval_points)
+        dense = ref.l2_error(approx, f, eval_points)
         assert rep.l2_error[k] == pytest.approx(dense, rel=1e-10)
 
 
