@@ -65,10 +65,6 @@ class RegularizedApproximant:
     def __call__(self, points):
         return evaluate(self, points)
 
-    def l2_norm(self) -> float:
-        """Continuous L2 norm of the approximant (Parseval, never quadrature)."""
-        return float(np.linalg.norm(self.alpha))
-
 
 def solve(
     samples,

@@ -32,10 +32,15 @@ error of each lambda is max |p_lam - f| (:func:`uniform_error_curve`), with
 p_lam - f formed in the rfft domain of the grid: the spectrum of the
 samples' polynomial (:func:`~trigreg.grid.uniform_spectrum`) scaled per
 frequency by the solve's shrink factor, minus rfft(f), and then one irfft.
+The lambdas go in blocks to one thread per usable core; the threads share
+the 16 lambdas in flight, and the errors are bitwise the same for any core
+count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,13 +250,57 @@ class SweepReport:
     rows: tuple
 
 
-# Lambdas per irfft in the uniform-error sweep.  A count, not a memory
+# Lambdas in flight in the uniform-error sweep: each of the W worker threads
+# (see _worker_count) irffts ceil(16 / W) of them per call, so the buffers
+# hold about 16 spectra whatever the core count.  A count, not a memory
 # budget: each irfft call also pays a set-up cost that grows with K (about
 # 50 ms at K = 10**5 + 1, whose prime factor 9091 takes Bluestein's
 # algorithm), so fewer rows per call at large K would multiply it.  On a
-# 2-core x86_64 host, 16 beat 32 at K = 10**4 (28 against 32 ms per
-# 400-lambda row) and tied it at K = 10**5 + 1.
+# 2-core x86_64 host, one thread with 16 per call beat 32 at K = 10**4 (28
+# against 32 ms per 400-lambda row) and tied it at K = 10**5 + 1.  Each
+# lambda's irfft is the same call on the same data whatever the block, so
+# the curve is bitwise independent of the core count.
 _SYNTHESIS_BLOCK = 16
+
+# Cores this process may run on, read once at import.
+_USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _worker_count(n_lambdas: int) -> int:
+    """Threads :func:`uniform_error_curve` uses for ``n_lambdas`` lambdas:
+    one per usable core, at most one per block of ``_SYNTHESIS_BLOCK``
+    (so also at most ``_SYNTHESIS_BLOCK``: each irffts one lambda or more)."""
+    blocks = -(-n_lambdas // _SYNTHESIS_BLOCK)
+    return max(1, min(_USABLE_CORES, blocks, _SYNTHESIS_BLOCK))
+
+
+def _on_threads(task, workers: int) -> None:
+    """Run ``task(0)`` on the calling thread and ``task(1)`` ...
+    ``task(workers - 1)`` on helper threads under the caller's numpy error
+    state.  Every helper is joined before this returns or raises; then the
+    first exception a helper raised is re-raised here."""
+    errstate = np.geterr()
+    failures = []
+
+    def helper(index):
+        try:
+            with np.errstate(**errstate):
+                task(index)
+        except BaseException as exc:  # re-raised on the calling thread below
+            failures.append(exc)
+
+    started = []
+    try:
+        for index in range(1, workers):
+            thread = threading.Thread(target=helper, args=(index,), name=f"trigreg-worker-{index}")
+            thread.start()
+            started.append(thread)
+        task(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.ndarray,
@@ -263,29 +312,42 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
     and K >= 2L + 1, so bin ell of :func:`~trigreg.grid.uniform_spectrum`
     holds frequency ell alone and the solve scales it by
     1/(1 + lam*beta_ell**2).  The spectrum of p_lam - f is therefore that
-    scaled head minus the truth's head, then the truth's negated tail.  One
-    buffer per call holds the tail, written once; each block of lambdas
-    writes only its (block, L+1) head, and one irfft and one max-abs
-    reduction give the errors.  No (T, K) array is formed.
+    scaled head minus the truth's head, then the truth's negated tail.
+
+    The lambdas go in blocks to one worker per usable core (at most one per
+    16 lambdas), dealt out in turn by start index; the calling thread is
+    worker 0 and the others are helper threads that run numpy alone, all
+    joined before return.  Each worker owns one buffer whose tail it writes
+    once; per block it writes only the (block, L+1) head, and one irfft and
+    one max-abs reduction give that block's errors.  The workers share the
+    16 lambdas in flight, and no (T, K) array is formed.  The result is
+    bitwise the same for any core count.
     """
     degree = path.coeffs.size // 2
     ells, _ = mode_layout(degree)
     beta_sq = np.empty(degree + 1)  # per frequency: cosine and sine share beta
     beta_sq[ells] = path.beta_sq
     base = uniform_spectrum(path.coeffs, n_points)[: degree + 1]
-    spectra = np.empty((min(_SYNTHESIS_BLOCK, len(lambdas)), truth_spectrum.size), dtype=complex)
-    np.negative(truth_spectrum[degree + 1 :], out=spectra[:, degree + 1 :])
     errors = np.empty(len(lambdas))
-    for start in range(0, len(lambdas), _SYNTHESIS_BLOCK):
-        lam = lambdas[start : start + _SYNTHESIS_BLOCK]
-        spec = spectra[: lam.size]
-        head = spec[:, : degree + 1]
-        damping = np.multiply.outer(lam, beta_sq)
-        damping += 1.0
-        np.divide(base, damping, out=head)
-        head -= truth_spectrum[: degree + 1]
-        diff = np.fft.irfft(spec, n=n_points)
-        errors[start : start + lam.size] = np.abs(diff, out=diff).max(axis=-1)
+    workers = _worker_count(len(lambdas))
+    width = -(-_SYNTHESIS_BLOCK // workers)  # lambdas per irfft call
+    stride = workers * width
+
+    def fill(worker):
+        spectra = np.empty((min(width, len(lambdas)), truth_spectrum.size), dtype=complex)
+        np.negative(truth_spectrum[degree + 1 :], out=spectra[:, degree + 1 :])
+        for start in range(worker * width, len(lambdas), stride):
+            lam = lambdas[start : start + width]
+            spec = spectra[: lam.size]
+            head = spec[:, : degree + 1]
+            damping = np.multiply.outer(lam, beta_sq)
+            damping += 1.0
+            np.divide(base, damping, out=head)
+            head -= truth_spectrum[: degree + 1]
+            diff = np.fft.irfft(spec, n=n_points)
+            errors[start : start + lam.size] = np.abs(diff, out=diff).max(axis=-1)
+
+    _on_threads(fill, workers)
     return errors
 
 

@@ -1,6 +1,13 @@
 """Noise generation, error metrics, the function gallery, and the sweep harness."""
 
+import functools
+import importlib
+import inspect
+import itertools
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ from numpy.testing import assert_allclose
 import reference as ref
 
 import trigreg as tr
+from trigreg import experiment
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +322,175 @@ def test_sweep_uniform_at_chosen_equals_the_curve(name):
 def test_sweep_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strateg"):
         tr.sweep("f1", 21, snr_levels=(20.0,), strategies=("ridge",), seed=1)
+
+
+# ---------------------------------------------------------------------------
+# uniform-error curve on several threads
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def f1_row():
+    """One noisy f1 sweep row: its path at N = 501 and the default 400 lambdas."""
+    g, degree = tr.make_grid(501), 250
+    lambdas = tr.parameter_grid().lambdas
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 11).noisy
+    return tr.RegularizationPath.from_samples(noisy, g, degree, tr.laplace_penalty(degree), lambdas), lambdas
+
+
+def _f1_spectrum(k):
+    return np.fft.rfft(tr.gallery("f1")(tr.uniform_eval_points(k)))
+
+
+@pytest.mark.parametrize("k", [10_000, 10_001])
+def test_uniform_curve_is_bitwise_independent_of_the_core_count(f1_row, k, monkeypatch):
+    # 8 and 64 cores (16 workers, one lambda each) run more workers than
+    # cores on any host; the short switch interval makes the threads
+    # interleave often, so a block written to the wrong slice or lost would
+    # show as a difference
+    path, lambdas = f1_row
+    spectrum = _f1_spectrum(k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in (0, 1, 7, 16, 17, 400):
+            curves = {}
+            for cores in (1, 2, 3, 8, 64):
+                monkeypatch.setattr(experiment, "_USABLE_CORES", cores)
+                curves[cores] = tr.uniform_error_curve(path, lambdas[:t], spectrum, k)
+            assert curves[1].shape == (t,)
+            for cores, curve in curves.items():
+                assert np.array_equal(curve, curves[1]), (t, cores)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_is_capped_by_cores_and_blocks(monkeypatch):
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 3)
+    assert [experiment._worker_count(t) for t in (0, 1, 16, 17, 33, 400)] == [1, 1, 1, 2, 3, 3]
+    # never more workers than lambdas in flight, so memory stays flat
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 64)
+    assert [experiment._worker_count(t) for t in (100, 400)] == [7, 16]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_uniform_curve_matches_dense_reference(cores, monkeypatch):
+    # every lambda solved on its own and evaluated point by point
+    monkeypatch.setattr(experiment, "_USABLE_CORES", cores)
+    g, degree, k = tr.make_grid(21), 10, 10_000
+    func, pen = tr.gallery("square"), tr.laplace_penalty(10)
+    noisy = tr.add_noise_snr(func(g.nodes), 20.0, 4).noisy
+    lambdas = tr.parameter_grid(t_max=40).lambdas
+    path = tr.RegularizationPath.from_samples(noisy, g, degree, pen, lambdas)
+    curve = tr.uniform_error_curve(path, lambdas, np.fft.rfft(func(tr.uniform_eval_points(k))), k)
+    expected = [ref.uniform_error(tr.solve(noisy, g, degree, lam, pen), func, k) for lam in lambdas]
+    assert_allclose(curve, expected, rtol=0, atol=1e-12)
+
+
+def test_one_core_starts_no_helper(f1_row, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 1)
+    monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+    path, lambdas = f1_row
+    assert np.isfinite(tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)).all()
+
+
+def _irfft_raising(monkeypatch, fails):
+    """Make numpy's irfft raise wherever ``fails(call_number)`` is true."""
+    irfft, calls = np.fft.irfft, itertools.count(1)
+
+    def flaky(*args, **kwargs):
+        if fails(next(calls)):
+            raise RuntimeError("irfft failed")
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", flaky)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_irfft_failure_reaches_the_caller(f1_row, cores, monkeypatch):
+    monkeypatch.setattr(experiment, "_USABLE_CORES", cores)
+    path, lambdas = f1_row
+    spectrum = _f1_spectrum(1001)
+    _irfft_raising(monkeypatch, lambda call: call == 3)
+    with pytest.raises(RuntimeError, match="irfft failed"):
+        tr.uniform_error_curve(path, lambdas, spectrum, 1001)
+    _irfft_raising(monkeypatch, lambda call: call == 3)  # count afresh
+    with pytest.raises(RuntimeError, match="irfft failed"):
+        tr.sweep("f1", 101, snr_levels=(20.0,), eval_points=1001, emit_curves=True)
+
+
+def test_helper_failure_reaches_the_caller(f1_row, monkeypatch):
+    # only the helper threads fail; the caller's own share succeeds
+    caller = threading.get_ident()
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    _irfft_raising(monkeypatch, lambda call: threading.get_ident() != caller)
+    path, lambdas = f1_row
+    with pytest.raises(RuntimeError, match="irfft failed"):
+        tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)
+
+
+def test_helper_warning_turned_error_reaches_the_caller(f1_row, monkeypatch):
+    caller = threading.get_ident()
+    irfft = np.fft.irfft
+
+    def warning_irfft(*args, **kwargs):
+        if threading.get_ident() != caller:
+            warnings.warn("helper warning", RuntimeWarning)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    monkeypatch.setattr(np.fft, "irfft", warning_irfft)
+    path, lambdas = f1_row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="helper warning"):
+            tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)
+
+
+def test_helpers_run_under_the_callers_error_state(f1_row, monkeypatch):
+    # with two workers of 8 lambdas each, lambdas 8-15 are the helper's
+    # first block; lam * beta**2 overflows there alone
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    path, lambdas = f1_row
+    lambdas = np.ones(40)
+    lambdas[8:16] = 1e305
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)
+
+
+def test_package_functions_run_on_the_calling_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so every traced function
+    # must run on the thread that called sweep; the helpers run numpy alone
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    ran_on, irfft_on = [], []
+    wrappers = {}
+    for layer in ("approximant", "experiment", "grid", "penalty", "selection"):
+        module = importlib.import_module(f"trigreg.{layer}")
+        for name in module.__all__:
+            func = getattr(module, name)
+            if inspect.isfunction(func) and func.__module__ == module.__name__:
+                @functools.wraps(func)
+                def recorded(*args, __func=func, **kwargs):
+                    ran_on.append(threading.get_ident())
+                    return __func(*args, **kwargs)
+
+                wrappers[id(func)] = recorded
+    for modname, module in list(sys.modules.items()):
+        if module is not None and (modname == "trigreg" or modname.startswith("trigreg.")):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    irfft = np.fft.irfft
+
+    def recorded_irfft(*args, **kwargs):
+        irfft_on.append(threading.get_ident())
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recorded_irfft)
+    tr.sweep("square", 101, emit_curves=True)
+    assert ran_on and set(ran_on) == {threading.get_ident()}
+    assert set(irfft_on) - {threading.get_ident()}  # the curve did use helper threads
