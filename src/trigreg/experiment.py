@@ -26,15 +26,10 @@ Gallery conventions
 Sweep errors
 ------------
 Errors are measured on the K-point evaluation grid
-``uniform_eval_points(K)``, K >= 2L + 1.  The L2 curve is Parseval on that
-grid (:meth:`~trigreg.selection.RegularizationPath.l2_error`).  The uniform
-error of each lambda is max |p_lam - f| (:func:`uniform_error_curve`), with
-p_lam - f formed in the rfft domain of the grid: the spectrum of the
-samples' polynomial (:func:`~trigreg.grid.uniform_spectrum`) scaled per
-frequency by the solve's shrink factor, minus rfft(f), and then one irfft.
-The lambdas go in blocks to one thread per usable core; the threads share
-the 16 lambdas in flight, and the errors are bitwise the same for any core
-count.
+``uniform_eval_points(K)``, K >= 2L + 1: the L2 curve by Parseval on that
+grid (:meth:`~trigreg.selection.RegularizationPath.l2_error`), the uniform
+error max |p_lam - f| in its rfft domain, on every usable core
+(:func:`uniform_error_curve`).
 """
 
 from __future__ import annotations
@@ -310,9 +305,10 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
     ``p_lam`` is the solution of ``path`` at each of ``lambdas`` (a 1-d
     array), ``truth_spectrum`` is rfft(f) on the K = ``n_points`` points,
     and K >= 2L + 1, so bin ell of :func:`~trigreg.grid.uniform_spectrum`
-    holds frequency ell alone and the solve scales it by
-    1/(1 + lam*beta_ell**2).  The spectrum of p_lam - f is therefore that
-    scaled head minus the truth's head, then the truth's negated tail.
+    holds frequency ell alone and the solve scales it by the path's shrink
+    factor s of that frequency (:meth:`RegularizationPath.factors`).  The
+    spectrum of p_lam - f is therefore that scaled head minus the truth's
+    head, then the truth's negated tail.
 
     The lambdas go in blocks to one worker per usable core (at most one per
     16 lambdas), dealt out in turn by start index; the calling thread is
@@ -324,9 +320,6 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
     bitwise the same for any core count.
     """
     degree = path.coeffs.size // 2
-    ells, _ = mode_layout(degree)
-    beta_sq = np.empty(degree + 1)  # per frequency: cosine and sine share beta
-    beta_sq[ells] = path.beta_sq
     base = uniform_spectrum(path.coeffs, n_points)[: degree + 1]
     errors = np.empty(len(lambdas))
     workers = _worker_count(len(lambdas))
@@ -340,9 +333,7 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
             lam = lambdas[start : start + width]
             spec = spectra[: lam.size]
             head = spec[:, : degree + 1]
-            damping = np.multiply.outer(lam, beta_sq)
-            damping += 1.0
-            np.divide(base, damping, out=head)
+            np.multiply(base, path.factors(lam)[0], out=head)
             head -= truth_spectrum[: degree + 1]
             diff = np.fft.irfft(spec, n=n_points)
             errors[start : start + lam.size] = np.abs(diff, out=diff).max(axis=-1)

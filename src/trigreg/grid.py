@@ -220,8 +220,6 @@ def _validated_samples(samples, grid: TrapezoidalGrid, degree: int) -> np.ndarra
         raise ValueError(
             f"expected {grid.n_points} samples on the grid, got shape {samples.shape}"
         )
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
     if 2 * degree + 1 > grid.n_points:
         raise ValueError(
             f"degree {degree} too high for {grid.n_points} nodes: need "
@@ -274,9 +272,10 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     (Cooley and Tukey, 1965): by :func:`_mode_factors`, the coefficients of
     mode ell are the real part and the negated imaginary part of
     (2*pi/K) * g_ell * bin ell.  The remainder is the norm of the literal
-    residual vector, synthesized from the bins above the degree; it is never
-    formed as ||values||**2 - ||coefficients||**2, which cancels
-    catastrophically when the projection captures nearly everything.
+    residual vector, by Parseval on the same rfft's bins above the degree: a
+    sum of nonnegative terms, never formed as ||values||**2 -
+    ||coefficients||**2, which cancels catastrophically when the projection
+    captures nearly everything.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -296,9 +295,10 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     coeffs[0] = modes[0].real
     coeffs[1::2] = modes[1:].real
     coeffs[2::2] = -modes[1:].imag
-    spec[: degree + 1] = 0.0
-    rest = np.fft.irfft(spec, n=k)
-    return coeffs, TWO_PI / k * float(np.dot(rest, rest))
+    # bins above the degree stand for themselves and their mirrors, bar an even K's Nyquist bin
+    tail = spec[degree + 1 : (k + 1) // 2]
+    power = 2.0 * np.vdot(tail, tail).real + (abs(spec[-1]) ** 2 if k % 2 == 0 else 0.0)
+    return coeffs, TWO_PI / k**2 * float(power)
 
 
 def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:

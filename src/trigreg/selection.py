@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import TrapezoidalGrid, _validated_samples, uniform_eval_points, uniform_projection
+from .grid import (TrapezoidalGrid, _validated_samples, mode_layout, uniform_eval_points,
+                   uniform_projection)
 from .penalty import PenaltySequence, _require_nonnegative, _require_positive
 
 __all__ = [
@@ -126,21 +127,23 @@ class SelectionReport:
     assumption_ok: bool | None = None
 
 
-def _require_selection_penalty(penalty: PenaltySequence):
-    if penalty.beta[0] != 0:
-        raise ValueError(
-            "selection diagnostics require zero weight on the constant mode; "
-            "constant-form penalties are only accepted by the barycentric evaluator"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Per-lambda diagnostics: closed forms in the coefficients of the samples,
 # held by RegularizationPath.  residual_sq below reads one at one lambda.
 # ---------------------------------------------------------------------------
 
-# Entries per (block, 2L+1) temporary in a path scan: 32 KB of float64.
-_BLOCK_ELEMENTS = 4096
+# Entries per (block, L+1) factor table in a path scan (32 KB of float64).
+# On a 2-core x86_64 host 2**13 scanned 0.15 ms faster at N = 501 (0.5 ms at
+# N = 2001), but its two buffers add 64 KB each to a select command's peak.
+_BLOCK_ELEMENTS = 2**12
+
+
+def _paired(coeffs: np.ndarray) -> np.ndarray:
+    """Canonical-order coefficients as (cosine, sine) rows over ell = 0..L (no sine at 0)."""
+    ells, branches = mode_layout(coeffs.size // 2)
+    pairs = np.zeros((2, ells[-1] + 1))
+    pairs[branches - 1, ells] = coeffs
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -148,25 +151,25 @@ class RegularizationPath:
     """Closed-form diagnostics of the regularized solve along a lambda path.
 
     The solve shrinks each discrete Fourier coefficient c of the samples by
-    s = 1/(1 + lam*beta**2).  With w = lam*beta**2 * s (that is 1 - s,
-    formed without the cancellation), every diagnostic is a sum over modes:
+    s = 1/(1 + lam*beta**2).  Cosine and sine of frequency ell share beta,
+    so the path keeps one table per frequency (:meth:`factors`) of s and
+    w = lam*beta**2 * s (1 - s without the cancellation), both in [0, 1].
+    With e = c_cos**2 + c_sin**2, every scan diagnostic is a bounded sum:
 
-        J(lam)  = r0 + sum (w*c)**2           weighted squared node residual
-        J'(lam) = -lam * K'(lam)
-        K(lam)  = sum beta**2 * s**2 * c**2   squared smoothness seminorm
-        K'(lam) = -2 * sum beta**4 * s**3 * c**2
+        J - r0 = sum w**2 * e             J: weighted squared node residual
+        A      = sum w * s * e            = lam * K,  K: squared seminorm
+        B      = -2 * sum w**2 * s * e    = lam**2 * K',  K' = dK/dlam
+        trace  = sum of w over modes      the GCV denominator
 
-    ``r0`` = ||f - P_L f||_N**2 is the part of the samples that no degree-L
-    polynomial reaches.  It is exactly 0 on an interpolatory grid
-    (N = 2L + 1); otherwise :meth:`from_samples` takes it from the same rfft
-    as the coefficients (:func:`~trigreg.grid.uniform_projection`), never as
-    ||f||**2 - ||c||**2, which cancels catastrophically.  ``n_points`` is N.
+    so K = A/lam and K' = B/lam**2, formed directly at lam = 0.  ``r0`` =
+    ||f - P_L f||_N**2, the part of the samples no degree-L polynomial
+    reaches, is 0 when N = 2L + 1 and otherwise the Parseval remainder of
+    :func:`~trigreg.grid.uniform_projection`.  ``n_points`` is N.
 
-    ``lambdas`` is a 1-d array, and each diagnostic comes back as a fresh
-    array of that length.  :meth:`residual_sq` and :meth:`alpha` also take
-    one explicit ``lam`` in place of ``lambdas``, for the discrepancy
-    bisection and for single solutions.  Each evaluation costs O(L) per
-    lambda, with no basis matrix.
+    ``lambdas`` is a 1-d array; each diagnostic comes back as a fresh array
+    of that length.  :meth:`factors`, :meth:`residual_sq` and :meth:`alpha`
+    also take explicit lambdas.  Each costs O(L) per lambda, with no basis
+    matrix.
     """
 
     coeffs: np.ndarray
@@ -184,91 +187,113 @@ class RegularizationPath:
             raise ValueError(
                 f"penalty degree {penalty.degree} does not match requested degree {degree}"
             )
-        _require_selection_penalty(penalty)
+        if penalty.beta[0] != 0:
+            raise ValueError(
+                "selection diagnostics require zero weight on the constant mode; "
+                "constant-form penalties are only accepted by the barycentric evaluator"
+            )
         coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
         return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
 
-    def _factors(self, lam):
-        """The shrink factors s and w at the given lambdas, shape (..., 2L+1)."""
-        lam_bsq = np.multiply.outer(lam, self.beta_sq)
-        shrink = 1.0 / (1.0 + lam_bsq)
-        lam_bsq *= shrink
-        return shrink, lam_bsq
+    @cached_property
+    def _frequencies(self):
+        """Per frequency ell = 0..L: beta**2, the energy e and the number of modes."""
+        pairs = _paired(self.coeffs)
+        counts = np.full(pairs.shape[1], 2.0)
+        counts[0] = 1.0
+        return _paired(self.beta_sq)[0], np.einsum("ij,ij->j", pairs, pairs), counts
+
+    def factors(self, lam, out=None):
+        """The factors s and w of each frequency at the given lambdas, shape
+        (..., L+1), written into the pair of arrays ``out`` if given."""
+        beta_sq = self._frequencies[0]
+        shrink, weight = out if out is not None else np.empty((2, *np.shape(lam), beta_sq.size))
+        np.multiply.outer(lam, beta_sq, out=weight)
+        np.add(weight, 1.0, out=shrink)
+        np.reciprocal(shrink, out=shrink)
+        weight *= shrink
+        return shrink, weight
 
     def _blocks(self):
-        """Yield (slice, s, w) over consecutive blocks of the path's lambdas.
-
-        Each factor is a (block, 2L+1) array of at most _BLOCK_ELEMENTS
-        entries, so a scan's temporaries stay cache-sized and are reused by
-        the allocator from one block to the next, where whole-path (T, 2L+1)
-        temporaries (1.6 MB each at N = 501) made every scan fault in fresh
-        memory pages.
-        """
-        step = max(1, _BLOCK_ELEMENTS // self.beta_sq.size)
+        """Yield (slice, s, w) over blocks of the path's lambdas: (block, L+1)
+        factors of at most _BLOCK_ELEMENTS entries in one cache-sized pair of
+        buffers that every block overwrites, where whole-path ones would
+        fault in fresh pages."""
+        step = max(1, _BLOCK_ELEMENTS // self._frequencies[0].size)
+        buffers = np.empty((2, min(step, self.lambdas.size), self._frequencies[0].size))
         for start in range(0, self.lambdas.size, step):
             part = slice(start, start + step)
-            yield (part, *self._factors(self.lambdas[part]))
+            lam = self.lambdas[part]
+            yield (part, *self.factors(lam, out=buffers[:, : lam.size]))
 
     @cached_property
     def _sums(self):
-        # One pass over the lambdas gives every scan diagnostic its mode sums:
-        # sum (w*c)**2, sum beta**2*s**2*c**2, -2*sum beta**4*s**3*c**2, sum w.
-        c_sq = self.coeffs**2
-        seminorm_weights = self.beta_sq * c_sq
-        slope_weights = -2.0 * (self.beta_sq**2 * c_sq)
-        fit, seminorm, slope, trace = np.empty((4, self.lambdas.size))
+        # J - r0, A, B and the trace of the class docstring, in one pass
+        _, energy, counts = self._frequencies
+        fit, scaled, scaled_prime, trace = np.empty((4, self.lambdas.size))
         for part, shrink, weight in self._blocks():
-            trace[part] = weight.sum(axis=1)
+            trace[part] = weight @ counts
+            shrink *= weight
+            scaled[part] = shrink @ energy
+            shrink *= weight
+            scaled_prime[part] = shrink @ energy
             weight *= weight
-            fit[part] = weight @ c_sq
-            shrink_sq = shrink * shrink
-            seminorm[part] = shrink_sq @ seminorm_weights
-            shrink_sq *= shrink
-            slope[part] = shrink_sq @ slope_weights
-        return fit, seminorm, slope, trace
+            fit[part] = weight @ energy
+        scaled_prime *= -2.0
+        return fit, scaled, scaled_prime, trace
 
     def alpha(self, lam=None):
         """Regularized coefficients s*c, one column per lambda."""
-        shrink, _ = self._factors(self.lambdas if lam is None else lam)
-        return (shrink * self.coeffs).T
+        shrink, _ = self.factors(self.lambdas if lam is None else lam)
+        return (shrink[..., mode_layout(self.coeffs.size // 2)[0]] * self.coeffs).T
 
     def residual_sq(self, lam=None):
         """J: weighted squared node residual of the regularized solution, at
         every path lambda or, as a float, at one explicit ``lam``."""
         if lam is None:
             return self.r0 + self._sums[0]
-        _, weight = self._factors(lam)
-        return float(self.r0 + weight**2 @ self.coeffs**2)
+        _, weight = self.factors(lam)
+        return float(self.r0 + weight**2 @ self._frequencies[1])
+
+    def _unscaled(self, power: int):
+        """A/lam (power 1) or B/lam**2 (power 2) at every path lambda; at lam = 0,
+        where s = 1, their limits sum beta**2 * e and -2 * sum beta**4 * e."""
+        zero = self.lambdas == 0
+        out = np.divide(self._sums[power], self.lambdas**power, where=~zero, out=np.empty(zero.shape))
+        if zero.any():
+            beta_sq, energy, _ = self._frequencies
+            out[zero] = (-2.0) ** (power - 1) * (beta_sq**power @ energy)
+        return out
 
     def penalty_sq(self):
-        """K: squared smoothness seminorm of the regularized solution."""
-        return self._sums[1].copy()
+        """K = A/lam: squared smoothness seminorm of the regularized solution."""
+        return self._unscaled(1)
 
     def penalty_sq_prime(self):
-        """K': derivative of K in lambda (nonpositive)."""
-        return self._sums[2].copy()
+        """K' = B/lam**2: derivative of K in lambda (nonpositive)."""
+        return self._unscaled(2)
 
     def curvature(self):
         """Signed curvature of the L-curve (log J, log K) at every lambda.
 
-        The exchange identity J' = -lam*K' eliminates J', giving
+        The exchange identity J' = -lam*K' eliminates J', and lambda cancels:
 
-            kappa = J*K/|K'| * (lam*K'*J + J*K + lam**2*K'*K)
-                    / (lam**2*K**2 + J**2)**1.5.
+            kappa = J*A*(B*J + A*J + A*B) / (|B| * (A**2 + J**2)**1.5).
 
-        Undefined where J or K vanishes (exact fit, nothing penalized) or
-        where K' is not strictly negative.
+        It is evaluated as J*A/|B| * (...) / (...)**1.5, so that no product
+        of four sums underflows.  Not finite where J or K vanishes (exact fit,
+        nothing penalized) or B is not negative; the selectors refuse those.
         """
-        fit, k, k_prime, _ = self._sums
-        j, lam = self.r0 + fit, self.lambdas
-        num = lam * k_prime * j + j * k + lam**2 * k_prime * k
-        den = (lam**2 * k**2 + j**2) ** 1.5
-        return j * k / np.abs(k_prime) * num / den
+        fit, a, b, _ = self._sums
+        j = self.r0 + fit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return j * a / np.abs(b) * (b * j + a * j + a * b) / (a * a + j * j) ** 1.5
 
     def gcv(self):
         """GCV score V = sum (w*c)**2 / (sum w)**2; valid on interpolatory grids only."""
         fit, _, _, trace = self._sums
-        return fit / trace**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fit / trace**2
 
     def l2_error(self, truth_coeffs, remainder: float):
         """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
@@ -276,22 +301,27 @@ class RegularizationPath:
         ``truth_coeffs`` (g) and ``remainder`` (r_K) come from
         :func:`~trigreg.grid.uniform_projection` of the function on the
         K-point evaluation grid.  By Parseval on that grid this equals
-        sqrt((2*pi/K) * sum (p - f)**2) whenever K >= 2L + 1.
+        sqrt((2*pi/K) * sum (p - f)**2) whenever K >= 2L + 1.  The squares
+        (s*c - g)**2 are summed per frequency pair, never expanded (that cancels).
         """
+        pairs, truth = _paired(self.coeffs), _paired(np.asarray(truth_coeffs, dtype=float))
         errors = np.empty(np.size(self.lambdas))
-        for part, shrink, _ in self._blocks():
-            shrink *= self.coeffs
-            shrink -= truth_coeffs
+        for part, shrink, cosine in self._blocks():  # w's buffer takes the cosine squares
+            np.multiply(shrink, pairs[0], out=cosine)
+            cosine -= truth[0]
+            cosine *= cosine
+            shrink *= pairs[1]
+            shrink -= truth[1]
             shrink *= shrink
+            shrink += cosine
             errors[part] = shrink.sum(axis=1)
         errors += remainder
         return np.sqrt(errors, out=errors)
 
     def discrepancy_bounds(self) -> tuple[float, float]:
-        """Morozov's noise bounds sqrt(J(0)) and sqrt(r0 + sum_{ell>=1} c**2),
+        """Morozov's noise bounds sqrt(J(0)) = sqrt(r0) and sqrt(r0 + sum_{ell>=1} e),
         the latter equal to ||f - mean(f)||_N by orthogonality."""
-        varying = self.coeffs[1:]
-        return math.sqrt(self.residual_sq(0.0)), math.sqrt(self.r0 + float(varying @ varying))
+        return math.sqrt(self.r0), math.sqrt(self.r0 + float(self._frequencies[1][1:].sum()))
 
 
 def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
@@ -422,42 +452,35 @@ def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
 def _require_penalized_data(path, name: str):
     """Refuse data whose penalized seminorm vanishes: L-curve and GCV then
     rank nothing but roundoff."""
-    c = path.coeffs
-    beta = np.sqrt(path.beta_sq)
+    beta, size = np.sqrt(path._frequencies[0]), np.sqrt(path._frequencies[1])
     # Roundoff leaves ~1e-16 relics on the penalized modes even for an
     # exactly constant signal, so the zero test must be relative.
-    seminorm = np.max(np.abs(beta * c), initial=0.0)
-    scale = np.max(beta) * np.max(np.abs(c), initial=0.0)
-    if seminorm <= 1e-13 * scale:
+    if np.max(beta * size) <= 1e-13 * np.max(beta) * np.max(size):
         raise InapplicableStrategyError(
             f"{name} is inapplicable: the penalized seminorm of the data is "
             "identically zero (nothing but the constant mode present)"
         )
 
 
-def _require_no_nan(values, name: str, what: str):
-    """Refuse an objective that holds a NaN: argmin and argmax would pick the first one."""
-    nans = np.count_nonzero(np.isnan(values))
-    if nans:
+def _pick(params, strategy: str, name: str, what: str, objective, best, **columns):
+    """The report of the grid lambda at index best(objective), with the given
+    columns.  An objective that holds a NaN or an infinity is refused: argmin
+    and argmax would pick the first NaN, and argmax |kappa| an infinite one."""
+    bad = objective.size - np.count_nonzero(np.isfinite(objective))
+    if bad:
         raise InapplicableStrategyError(
-            f"{name} is inapplicable: {what} is NaN at {nans} of {values.size} grid lambdas"
+            f"{name} is inapplicable: {what} is not finite at {bad} of {objective.size} grid lambdas"
         )
+    idx = int(best(objective))
+    return SelectionReport(strategy=strategy, lambdas=params.lambdas,
+                           chosen_lambda=float(params.lambdas[idx]), chosen_index=idx, **columns)
 
 
 def _run_lcurve(path, params, **_):
     _require_penalized_data(path, "L-curve")
     kappa = path.curvature()
-    _require_no_nan(kappa, "L-curve", "the curvature")
-    idx = int(np.argmax(np.abs(kappa)))
-    return SelectionReport(
-        strategy="lcurve",
-        lambdas=params.lambdas,
-        chosen_lambda=float(params.lambdas[idx]),
-        chosen_index=idx,
-        residual_sq=path.residual_sq(),
-        penalty_sq=path.penalty_sq(),
-        curvature=kappa,
-    )
+    return _pick(params, "lcurve", "L-curve", "the curvature", np.abs(kappa), np.argmax,
+                 residual_sq=path.residual_sq(), penalty_sq=path.penalty_sq(), curvature=kappa)
 
 
 def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
@@ -479,15 +502,7 @@ def _run_gcv(path, params, **_):
         )
     _require_penalized_data(path, "GCV")
     v_vals = path.gcv()
-    _require_no_nan(v_vals, "GCV", "the GCV score")
-    idx = int(np.argmin(v_vals))
-    return SelectionReport(
-        strategy="gcv",
-        lambdas=params.lambdas,
-        chosen_lambda=float(params.lambdas[idx]),
-        chosen_index=idx,
-        gcv=v_vals,
-    )
+    return _pick(params, "gcv", "GCV", "the GCV score", v_vals, np.argmin, gcv=v_vals)
 
 
 def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
@@ -509,15 +524,7 @@ def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
 
 def _run_oracle(path, params, truth=None, **_):
     errs = path.l2_error(*truth)
-    _require_no_nan(errs, "oracle", "the L2 error")
-    idx = int(np.argmin(errs))
-    return SelectionReport(
-        strategy="oracle",
-        lambdas=params.lambdas,
-        chosen_lambda=float(params.lambdas[idx]),
-        chosen_index=idx,
-        l2_error=errs,
-    )
+    return _pick(params, "oracle", "oracle", "the L2 error", errs, np.argmin, l2_error=errs)
 
 
 # ---------------------------------------------------------------------------

@@ -202,20 +202,40 @@ def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, m
     assert not (tmp_path / "chosen.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # beta**4 overflows at s = 40
-def test_nan_objective_is_a_strategy_failure(tmp_path, capsys):
-    # --strategy lcurve used to print ok lambda_lcurve=0.933 from all-NaN curvature
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_steep_penalty_gives_a_finite_curvature(tmp_path, capsys):
+    # --s 40 used to overflow beta**4 in K' and leave all 400 kappa NaN
     argv = ("select", "--gallery", "f1", "--n", "1001", "--snr-db", "20", "--s", "40",
             "--output-dir", str(tmp_path))
+    assert run_cli(*argv, "--strategy", "lcurve") == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_csv(tmp_path / "diagnostics.csv")
+    kappa = np.array([float(row[header.index("kappa")]) for row in rows])
+    assert kappa.size == 400 and np.isfinite(kappa).all()
+    assert run_cli(*argv, "--strategy", "all") == 0
+    assert "lambda_lcurve=failed" not in capsys.readouterr().out
+    assert sorted(json.loads((tmp_path / "chosen.json").read_text())["chosen"]) == [
+        "gcv", "lcurve", "morozov", "oracle"]
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_non_finite_objective_is_a_strategy_failure(tmp_path, capsys):
+    # J and the GCV trace underflow to 0 at the smallest lambdas of this grid;
+    # it used to print raw RuntimeWarnings, and die under -W error
+    argv = ("select", "--gallery", "f1", "--n", "101", "--snr-db", "20", "--q", "0.5",
+            "--t-max", "1000", "--output-dir", str(tmp_path))
     assert run_cli(*argv, "--strategy", "lcurve") == 5
     assert capsys.readouterr().err == (
-        "error: strategy-error: L-curve is inapplicable: the curvature is NaN at 400 of 400 grid lambdas\n"
+        "error: strategy-error: L-curve is inapplicable: the curvature is not finite "
+        "at 640 of 1000 grid lambdas\n"
     )
     assert run_cli(*argv, "--strategy", "all") == 0
-    assert "lambda_lcurve=failed lambda_gcv=0.000122" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "lambda_lcurve=failed lambda_gcv=failed" in captured.out
+    assert captured.err == ""
     payload = json.loads((tmp_path / "chosen.json").read_text())
-    assert "NaN at 400 of 400" in payload["failed"]["lcurve"]
-    assert sorted(payload["chosen"]) == ["gcv", "morozov", "oracle"]
+    assert "not finite at 447 of 1000" in payload["failed"]["gcv"]
+    assert sorted(payload["chosen"]) == ["morozov", "oracle"]
 
 
 @pytest.mark.parametrize("prefix, value", [("--lam", "0.1"), ("--out", "o"), ("--eval", "2000")])

@@ -440,24 +440,68 @@ def test_select_gcv_refuses_constant_data():
         tr.select_gcv(np.full(11, 2.5), g, 5, tr.laplace_penalty(5), tr.parameter_grid())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaNs come from overflow
-def test_selectors_refuse_a_nan_objective():
-    # argmax and argmin return the first NaN, so these used to pick from it
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_steep_penalty_curvature_is_finite():
+    # beta**4 = ell**160 used to overflow in K' and leave every kappa NaN
     g = tr.make_grid(1001)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
-    steep = tr.laplace_penalty(500, 40.0)  # beta**4 = ell**160 overflows in K'
-    with pytest.raises(tr.InapplicableStrategyError, match="curvature is NaN at 400 of 400"):
-        tr.select_lcurve(noisy, g, 500, steep, tr.parameter_grid())
+    rep = tr.select_lcurve(noisy, g, 500, tr.laplace_penalty(500, 40.0), tr.parameter_grid())
+    assert rep.curvature.size == 400 and np.isfinite(rep.curvature).all()
+    assert np.isfinite(rep.penalty_sq).all()
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_selectors_refuse_a_non_finite_objective():
+    # argmax and argmin return the first NaN, so these used to pick from it
     g = tr.make_grid(101)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
-    deep = tr.parameter_grid(q=0.5, t_max=1000)  # down to 9.3e-302
-    with pytest.raises(tr.InapplicableStrategyError, match="GCV score is NaN at 447 of 1000"):
+    deep = tr.parameter_grid(q=0.5, t_max=1000)  # down to 9.3e-302: J and the trace underflow
+    with pytest.raises(tr.InapplicableStrategyError, match="curvature is not finite at 640 of 1000"):
+        tr.select_lcurve(noisy, g, 50, tr.laplace_penalty(50), deep)
+    with pytest.raises(tr.InapplicableStrategyError, match="GCV score is not finite at 447 of 1000"):
         tr.select_gcv(noisy, g, 50, tr.laplace_penalty(50), deep)
     params = tr.parameter_grid(t_max=10)
     path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), params.lambdas)
     reports, failures = tr.run_strategies(path, params, ["oracle"], truth=(path.coeffs, math.nan))
     assert reports == {}
-    assert failures["oracle"] == "oracle is inapplicable: the L2 error is NaN at 10 of 10 grid lambdas"
+    assert failures["oracle"] == "oracle is inapplicable: the L2 error is not finite at 10 of 10 grid lambdas"
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_lcurve_refuses_an_infinite_curvature():
+    # N > 2L + 1 keeps J >= r0 > 0; at lam = 1e-200, B = lam**2 * K' underflows
+    # to 0 while A = lam * K > 0, so kappa is +inf, which argmax |kappa| would pick
+    g = tr.make_grid(21)
+    samples = np.exp(np.cos(g.nodes)) + np.sign(np.sin(g.nodes))
+    lambdas = np.array([1e-3, 1e-200])
+    path = tr.RegularizationPath.from_samples(samples, g, 5, tr.laplace_penalty(5), lambdas)
+    assert path.r0 > 0.1
+    assert np.isfinite(path.curvature()[0]) and path.curvature()[1] == math.inf
+    params = tr.ParameterGrid(zeta0=1.0, q=1e-3, t_max=2, lambdas=lambdas)
+    reports, failures = tr.run_strategies(path, params, ["lcurve"])
+    assert reports == {}
+    assert failures["lcurve"] == "L-curve is inapplicable: the curvature is not finite at 1 of 2 grid lambdas"
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 20.0])
+@pytest.mark.parametrize("n_points", [3, 21, 101, 1001])
+def test_path_matches_the_mode_wise_reference(n_points, s):
+    """The per-frequency bounded sums against J, K, K', kappa and V summed
+    mode by mode from their textbook forms (tests/reference.py)."""
+    g = tr.make_grid(n_points)
+    degree = (n_points - 1) // 2
+    noisy = tr.add_noise_snr(tr.gallery("square")(g.nodes), 30.0, n_points).noisy
+    path = tr.RegularizationPath.from_samples(
+        noisy, g, degree, tr.laplace_penalty(degree, s), tr.parameter_grid().lambdas
+    )
+    want = ref.path_diagnostics(path.coeffs, path.beta_sq, path.lambdas, path.r0)
+    assert_allclose(path.residual_sq(), want["J"], rtol=1e-12, atol=0)
+    assert_allclose(path.penalty_sq(), want["K"], rtol=1e-12, atol=0)
+    assert_allclose(path.penalty_sq_prime(), want["K'"], rtol=1e-12, atol=0)
+    assert_allclose(path.gcv(), want["V"], rtol=1e-12, atol=0)
+    kappa = path.curvature()
+    assert np.linalg.norm(kappa - want["kappa"]) <= 1e-10 * np.linalg.norm(want["kappa"])
 
 
 # ---------------------------------------------------------------------------
