@@ -11,10 +11,8 @@ decouples mode by mode and has the closed-form solution
 
 lambda = 0 reproduces plain discrete least squares (interpolation when
 N = 2*degree + 1); lambda > 0 shrinks every penalized mode toward zero.
-
-For the interpolatory case with a *constant* weight there is also a
-barycentric evaluation path that works directly on the samples without
-forming coefficients; see :func:`evaluate_barycentric`.
+:func:`solve` reads that shrinkage from the one-lambda
+:class:`~trigreg.selection.RegularizationPath` of the samples.
 """
 
 from __future__ import annotations
@@ -23,21 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    FourierCoefficients,
-    TrapezoidalGrid,
-    _require_finite,
-    analyze,
-    reduce_angle,
-    synthesize,
-)
+from .grid import FourierCoefficients, TrapezoidalGrid, synthesize
 from .penalty import PenaltySequence, _require_nonnegative
+from .selection import RegularizationPath
 
 __all__ = [
     "RegularizedApproximant",
     "solve",
     "evaluate",
-    "evaluate_barycentric",
     "condition_number",
     "stability_constant",
     "lebesgue_bound",
@@ -46,12 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegularizedApproximant:
-    """A solved approximant: shrunk coefficients plus their provenance.
+    """A solved approximant: its regularized coefficients ``alpha``.
 
-    ``alpha`` holds the regularized coefficients, ``source_coeffs`` the
-    unshrunk discrete Fourier coefficients they were derived from.
-    ``zero_data`` flags the degenerate case where every source coefficient
-    vanished (the approximant is identically zero).  Instances are callable.
+    ``zero_data`` flags the degenerate case where every discrete Fourier
+    coefficient of the samples vanished (the approximant is identically
+    zero).  Instances are callable.
     """
 
     degree: int
@@ -59,102 +49,41 @@ class RegularizedApproximant:
     lam: float
     penalty: PenaltySequence
     alpha: np.ndarray
-    source_coeffs: FourierCoefficients
     zero_data: bool
 
     def __call__(self, points):
         return evaluate(self, points)
 
 
-def solve(
-    samples,
-    grid: TrapezoidalGrid,
-    degree: int,
-    lam: float,
-    penalty: PenaltySequence,
-) -> RegularizedApproximant:
+def solve(samples, grid: TrapezoidalGrid, degree: int, lam: float,
+          penalty: PenaltySequence) -> RegularizedApproximant:
     """Solve the penalized least-squares problem in closed form.
 
-    Requires lam >= 0, a penalty built for the same degree, and
-    2*degree + 1 <= N.  All-zero coefficient data is allowed but flagged on
-    the result.
+    A thin view of :class:`~trigreg.selection.RegularizationPath`: the
+    path of the samples over the one lambda ``lam``, and its coefficients
+    there.  Requires lam >= 0, a penalty built for the same degree with zero
+    weight on the constant mode, and 2*degree + 1 <= N.  All-zero
+    coefficient data is allowed but flagged on the result.
     """
     _require_nonnegative(lam)
-    if penalty.degree != degree:
-        raise ValueError(
-            f"penalty degree {penalty.degree} does not match requested degree {degree}"
-        )
-    coeffs = analyze(samples, grid, degree)
-    alpha = coeffs.values / (1.0 + lam * penalty.beta**2)
+    lam = float(lam)
+    path = RegularizationPath.from_samples(samples, grid, degree, penalty, np.array([lam]))
+    alpha = path.alpha(lam)
     alpha.flags.writeable = False
-    return RegularizedApproximant(
-        degree=degree,
-        n_points=grid.n_points,
-        lam=float(lam),
-        penalty=penalty,
-        alpha=alpha,
-        source_coeffs=coeffs,
-        zero_data=not np.any(coeffs.values),
-    )
+    return RegularizedApproximant(degree, grid.n_points, lam, penalty, alpha, not np.any(path.coeffs))
 
 
 def evaluate(approx: RegularizedApproximant, points):
     """Evaluate the approximant at arbitrary angle(s)."""
-    coeffs = FourierCoefficients(
-        degree=approx.degree, values=approx.alpha, n_points=approx.n_points
-    )
-    return synthesize(coeffs, points)
-
-
-def evaluate_barycentric(samples, grid: TrapezoidalGrid, lam: float, tau: float, points):
-    """Regularized barycentric interpolation directly from the samples.
-
-    Evaluates, in O(N) per point and without forming coefficients,
-
-        t(x) = 1/(1 + lam*tau) * [sum_j (-1)**j f_j / sin((x - x_j)/2)]
-                                / [sum_j (-1)**j / sin((x - x_j)/2)],
-
-    which equals the closed-form solve of degree (N-1)/2 under the constant
-    weight beta = sqrt(tau): the shrinkage factor is uniform across modes, so
-    it commutes with interpolation.  The alternating signs may carry a global
-    offset depending on where node numbering starts; the offset cancels
-    between numerator and denominator, so any consistent alternation is
-    correct (the test suite asserts agreement with the direct path).
-
-    Points within 1e-12 of a node (as circle distance) receive the exact
-    limit value f_j / (1 + lam*tau).
-    """
-    _require_nonnegative(lam)
-    _require_nonnegative(tau, "constant weight tau")
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected {grid.n_points} samples on the grid, got shape {samples.shape}"
-        )
-    _require_finite(samples, "samples")
-    scalar = np.ndim(points) == 0
-    x = np.atleast_1d(reduce_angle(np.asarray(points, dtype=float)))
-
-    diff = x[:, None] - grid.nodes[None, :]
-    shrink = 1.0 + lam * tau
-    signs = np.where(np.arange(grid.n_points) % 2 == 0, -1.0, 1.0)  # (-1)**j, j from 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        csc = 1.0 / np.sin(0.5 * diff)
-        out = (csc @ (signs * samples)) / (csc @ signs) / shrink
-
-    # Node hits: circle distance below the guard threshold gets the limit value.
-    circ = np.abs(reduce_angle(diff))
-    hit_rows, hit_cols = np.nonzero(circ < 1e-12)
-    out[hit_rows] = samples[hit_cols] / shrink
-    return float(out[0]) if scalar else out
+    return synthesize(FourierCoefficients(approx.degree, approx.alpha, approx.n_points), points)
 
 
 def condition_number(lam: float, penalty: PenaltySequence) -> float:
     """Spectral condition number of the diagonal regularized system.
 
     The system matrix is diag(1 + lam*beta**2), so the condition number is
-    the ratio of its extreme entries.  It equals 1 at lam = 0 and for any
-    constant-weight penalty, and never decreases as lam grows.
+    the ratio of its extreme entries.  It equals 1 at lam = 0 and never
+    decreases as lam grows.
     """
     _require_nonnegative(lam)
     beta_sq = penalty.beta**2
@@ -174,8 +103,8 @@ def stability_constant(lam: float, penalty: PenaltySequence) -> float:
         )
     if penalty.beta[0] != 0:
         raise ValueError(
-            "the stability bound requires zero weight on the constant mode; "
-            "got a constant-form penalty"
+            "the stability bound requires zero weight on the constant mode, "
+            f"got beta[0] = {penalty.beta[0]}"
         )
     rest = penalty.beta[1:]
     if rest.size and np.any(rest == 0):

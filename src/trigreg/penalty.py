@@ -2,18 +2,15 @@
 
 A penalty attaches a nonnegative weight beta(ell, k) to every basis mode; the
 regularized solver divides mode (ell, k) by 1 + lambda*beta**2, so larger
-weights damp their modes harder.  The default family raises the frequency to
-a power,
+weights damp their modes harder.  The one family raises the frequency to a
+power,
 
     beta(ell, k) = ell**s,   s > 0,
 
-which grows with frequency and vanishes on the constant mode -- the shape all
-selection and error-bound routines require.  A constant-weight form (every
-mode weighted tau, including the constant mode) exists solely to mirror the
-regularized barycentric evaluator and is flagged ``constant_form``.  The
-selection machinery does not read that flag: it rejects every penalty whose
-constant-mode weight ``beta[0]`` is nonzero, so it rejects this form for
-every tau > 0.
+which grows with frequency and vanishes on the constant mode -- the shape the
+solver, the selection and the error-bound routines require.  They refuse a
+hand-built :class:`PenaltySequence` whose constant-mode weight ``beta[0]``
+is nonzero.
 """
 
 from __future__ import annotations
@@ -27,23 +24,16 @@ from .grid import FourierCoefficients, mode_layout
 __all__ = [
     "PenaltySequence",
     "laplace_penalty",
-    "constant_penalty",
     "sobolev_norm_truncated",
 ]
 
 
 @dataclass(frozen=True)
 class PenaltySequence:
-    """Mode weights in canonical harmonic order (length 2*degree + 1).
-
-    ``exponent_s`` is set for the power-law family, ``constant_form`` marks
-    the constant-weight family.
-    """
+    """Mode weights in canonical harmonic order (length 2*degree + 1)."""
 
     degree: int
     beta: np.ndarray
-    exponent_s: float | None = None
-    constant_form: bool = False
 
 
 def _require_nonnegative(value, what: str = "regularization parameter"):
@@ -87,26 +77,7 @@ def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
             f"the top squared weight {degree}**(2*s) overflows"
         )
     beta.flags.writeable = False
-    return PenaltySequence(degree=degree, beta=beta, exponent_s=float(s))
-
-
-def constant_penalty(degree: int, value: float) -> PenaltySequence:
-    """Constant weights beta(ell, k) = value on every mode (finite, >= 0).
-
-    Note the square: the damping factor applied to each mode is
-    1/(1 + lam*value**2), so ``constant_penalty(L, sqrt(tau))`` is the
-    sequence that matches ``evaluate_barycentric(..., tau=tau, ...)``.
-
-    Only the barycentric evaluator accepts this form; selection and
-    error-bound routines require a penalty that vanishes on the constant
-    mode (use :func:`laplace_penalty` there).
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    _require_nonnegative(value, "constant weight")
-    beta = np.full(2 * degree + 1, float(value))
-    beta.flags.writeable = False
-    return PenaltySequence(degree=degree, beta=beta, constant_form=True)
+    return PenaltySequence(degree=degree, beta=beta)
 
 
 def sobolev_norm_truncated(coeffs: FourierCoefficients, penalty: PenaltySequence) -> float:

@@ -17,15 +17,15 @@ Each strategy is a pure function of one :class:`RegularizationPath`.
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
 
-All diagnostics here require a penalty with zero weight on the constant mode
-(the power-law family); the constant-weight form is only meaningful for the
-barycentric evaluator.
+All diagnostics here require a penalty with zero weight on the constant mode,
+as the power-law family of :func:`~trigreg.penalty.laplace_penalty` has.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -189,8 +189,8 @@ class RegularizationPath:
             )
         if penalty.beta[0] != 0:
             raise ValueError(
-                "selection diagnostics require zero weight on the constant mode; "
-                "constant-form penalties are only accepted by the barycentric evaluator"
+                "the regularized solve requires zero weight on the constant mode, "
+                f"got beta[0] = {penalty.beta[0]}"
             )
         coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
         return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
@@ -203,15 +203,32 @@ class RegularizationPath:
         counts[0] = 1.0
         return _paired(self.beta_sq)[0], np.einsum("ij,ij->j", pairs, pairs), counts
 
+    @cached_property
+    def _lam_limit(self) -> float:
+        """A lambda up to which no 1 + lam*beta**2 overflows."""
+        top = float(self._frequencies[0].max())
+        return np.finfo(float).max / (2.0 * top) if top > 0 else math.inf
+
     def factors(self, lam, out=None):
         """The factors s and w of each frequency at the given lambdas, shape
-        (..., L+1), written into the pair of arrays ``out`` if given."""
+        (..., L+1), written into the pair of arrays ``out`` if given.  Where
+        lam*beta**2 overflows, s = 0 and w = 1, their limits: only lambdas
+        above ``_lam_limit`` take that branch, so every finite entry is the
+        same on either side of it.  A float (a bisection step) is compared
+        as it is, with no array reduction."""
+        top = lam if isinstance(lam, float) else np.max(lam, initial=0.0)
+        return self._factors(lam, out, top > self._lam_limit)
+
+    def _factors(self, lam, out, overflows: bool):
         beta_sq = self._frequencies[0]
         shrink, weight = out if out is not None else np.empty((2, *np.shape(lam), beta_sq.size))
-        np.multiply.outer(lam, beta_sq, out=weight)
-        np.add(weight, 1.0, out=shrink)
-        np.reciprocal(shrink, out=shrink)
-        weight *= shrink
+        with np.errstate(all="ignore") if overflows else nullcontext():
+            np.multiply.outer(lam, beta_sq, out=weight)
+            np.add(weight, 1.0, out=shrink)
+            np.reciprocal(shrink, out=shrink)
+            weight *= shrink
+        if overflows:
+            weight[shrink == 0] = 1.0  # inf * 0; s = 1/(1 + x) > 0 for every finite x
         return shrink, weight
 
     def _blocks(self):
@@ -221,10 +238,11 @@ class RegularizationPath:
         fault in fresh pages."""
         step = max(1, _BLOCK_ELEMENTS // self._frequencies[0].size)
         buffers = np.empty((2, min(step, self.lambdas.size), self._frequencies[0].size))
+        overflows = np.max(self.lambdas, initial=0.0) > self._lam_limit
         for start in range(0, self.lambdas.size, step):
             part = slice(start, start + step)
             lam = self.lambdas[part]
-            yield (part, *self.factors(lam, out=buffers[:, : lam.size]))
+            yield (part, *self._factors(lam, buffers[:, : lam.size], overflows))
 
     @cached_property
     def _sums(self):

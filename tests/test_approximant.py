@@ -1,4 +1,4 @@
-"""Regularized least-squares solve, barycentric evaluation, and stability bounds."""
+"""Regularized least-squares solve and stability bounds."""
 
 import math
 
@@ -49,8 +49,6 @@ def test_nan_lambda_is_rejected(cos_problem):
         tr.condition_number(math.nan, pen)
     with pytest.raises(ValueError, match="must be >= 0"):
         tr.lebesgue_bound(math.nan, pen)
-    with pytest.raises(ValueError, match="must be >= 0"):
-        tr.evaluate_barycentric(samples, g, math.nan, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("lam", [math.inf, -math.inf])
@@ -61,20 +59,10 @@ def test_infinite_lambda_is_rejected(cos_problem, lam):
         lambda: tr.solve(samples, g, 2, lam, pen),
         lambda: tr.condition_number(lam, pen),
         lambda: tr.lebesgue_bound(lam, pen),
-        lambda: tr.evaluate_barycentric(samples, g, lam, 1.0, 0.1),
         lambda: tr.residual_sq(samples, g, 2, pen, lam),
     ):
         with pytest.raises(ValueError, match="must be (>= 0|finite), got -?inf"):
             call()
-
-
-@pytest.mark.parametrize("tau, message", [(math.nan, "must be >= 0, got nan"),
-                                          (math.inf, "must be finite, got inf")])
-def test_barycentric_rejects_non_finite_tau(cos_problem, tau, message):
-    # tau = inf used to give 0 at every point
-    g, samples, _ = cos_problem
-    with pytest.raises(ValueError, match=f"constant weight tau {message}"):
-        tr.evaluate_barycentric(samples, g, 0.1, tau, [0.3])
 
 
 def test_solve_penalty_degree_must_match(cos_problem):
@@ -119,62 +107,6 @@ def test_evaluate_function_matches_call(cos_problem):
 
 
 # ---------------------------------------------------------------------------
-# barycentric evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_barycentric_interpolates_at_zero_lambda():
-    g = tr.make_grid(11)
-    samples = np.exp(np.sin(g.nodes))
-    pts = np.random.default_rng(5).uniform(-np.pi, np.pi, 200)
-    direct = tr.solve(samples, g, 5, 0.0, tr.laplace_penalty(5))(pts)
-    bary = tr.evaluate_barycentric(samples, g, 0.0, 0.0, pts)
-    assert_allclose(bary, direct, rtol=1e-11, atol=1e-13)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_barycentric_rejects_non_finite_samples(bad):
-    g = tr.make_grid(11)
-    samples = np.cos(g.nodes)
-    samples[4] = bad
-    with pytest.raises(ValueError, match="finite"):
-        tr.evaluate_barycentric(samples, g, 0.1, 1.0, [0.1, 0.2])
-
-
-def test_barycentric_matches_constant_weight_solve():
-    """tau in the rational form corresponds to squared constant weights."""
-    g = tr.make_grid(11)
-    samples = np.exp(np.sin(g.nodes)) + 0.2 * np.cos(3 * g.nodes)
-    lam, tau = 0.7, 2.0
-    pts = np.random.default_rng(6).uniform(-np.pi, np.pi, 300)
-    direct = tr.solve(samples, g, 5, lam, tr.constant_penalty(5, math.sqrt(tau)))(pts)
-    bary = tr.evaluate_barycentric(samples, g, lam, tau, pts)
-    assert_allclose(bary, direct, rtol=1e-12, atol=1e-13)
-
-
-def test_barycentric_constant_signal_damps_uniformly():
-    g = tr.make_grid(5)
-    out = tr.evaluate_barycentric(np.ones(5), g, 1.0, 1.0, np.array([0.3]))
-    assert out[0] == pytest.approx(0.5, rel=1e-13)
-
-
-def test_barycentric_node_hit_returns_damped_sample():
-    g = tr.make_grid(9)
-    samples = np.cos(g.nodes) + 2.0
-    lam, tau = 0.25, 4.0
-    out = tr.evaluate_barycentric(samples, g, lam, tau, g.nodes)
-    assert_allclose(out, samples / (1.0 + lam * tau), rtol=0, atol=1e-14)
-
-
-def test_barycentric_node_hit_survives_wraparound():
-    # a point that only coincides with a node after folding by 2*pi
-    g = tr.make_grid(5)
-    samples = np.sin(g.nodes) + 1.0
-    out = tr.evaluate_barycentric(samples, g, 0.0, 0.0, np.array([g.nodes[2] + 2 * np.pi]))
-    assert out[0] == pytest.approx(samples[2], abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # conditioning and stability bounds
 # ---------------------------------------------------------------------------
 
@@ -212,9 +144,13 @@ def test_stability_constant_requires_positive_lambda():
         tr.stability_constant(0.0, tr.laplace_penalty(2))
 
 
-def test_stability_constant_rejects_constant_form():
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.stability_constant(1.0, tr.constant_penalty(2, 1.0))
+def test_stability_constant_rejects_constant_form(cos_problem):
+    g, samples, _ = cos_problem
+    cpen = tr.PenaltySequence(2, np.ones(5))
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
+        tr.stability_constant(1.0, cpen)
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
+        tr.solve(samples, g, 2, 1.0, cpen)
 
 
 @pytest.mark.parametrize(

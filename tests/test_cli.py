@@ -1,9 +1,13 @@
-"""End-to-end tests of the command-line interface (main() called in process)."""
+"""End-to-end tests of the command-line interface (main() called in process,
+and in a fresh interpreter where a test needs python -W error)."""
 
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,43 @@ def test_non_finite_objective_is_a_strategy_failure(tmp_path, capsys):
     payload = json.loads((tmp_path / "chosen.json").read_text())
     assert "not finite at 447 of 1000" in payload["failed"]["gcv"]
     assert sorted(payload["chosen"]) == ["morozov", "oracle"]
+
+
+def _run_warnings_as_errors(*argv):
+    """``python -W error -m trigreg.cli argv`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "trigreg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("strategy, column", [("lcurve", "kappa"), ("gcv", "V")])
+def test_overflowing_lambda_beta_sq_selects_warning_free(tmp_path, strategy, column):
+    # lam * beta**2 overflows at the top of this grid: w = inf * 0 used to be
+    # NaN there, with raw RuntimeWarnings, exit 5, and a traceback under -W error
+    proc = _run_warnings_as_errors(
+        "select", "--gallery", "f1", "--n", "101", "--snr-db", "20", "--zeta0", "1e305",
+        "--strategy", strategy, "--output-dir", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"ok command=select source=gallery:f1 n=101 lambda_{strategy}=")
+    _, header, rows = read_csv(tmp_path / "diagnostics.csv")
+    values = np.array([float(row[header.index(column)]) for row in rows])
+    assert values.size == 400 and np.isfinite(values).all()
+
+
+def test_overflowing_manual_lambda_keeps_the_mean_warning_free(tmp_path):
+    # the ok line was right (s = 0 leaves the mean), but came after raw
+    # RuntimeWarnings, and under -W error the command died with a traceback
+    proc = _run_warnings_as_errors(
+        "approximate", "--gallery", "f1", "--n", "101", "--strategy", "manual",
+        "--lambda", "1e305", "--output-dir", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    fields = dict(part.split("=", 1) for part in proc.stdout.split()[1:])
+    assert {key: fields[key] for key in ("command", "source", "n", "degree", "s", "strategy", "lambda")} == {
+        "command": "approximate", "source": "gallery:f1", "n": "101", "degree": "50", "s": "1.0",
+        "strategy": "manual", "lambda": "1e+305"}
+    assert float(fields["max_node_residual"]) == pytest.approx(1.450901387615599, rel=1e-12)
+    assert float(fields["l2_error_vs_truth"]) == pytest.approx(2.061939826915823, rel=1e-12)
 
 
 @pytest.mark.parametrize("prefix, value", [("--lam", "0.1"), ("--out", "o"), ("--eval", "2000")])

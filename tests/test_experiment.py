@@ -451,15 +451,37 @@ def test_helper_warning_turned_error_reaches_the_caller(f1_row, monkeypatch):
 
 
 def test_helpers_run_under_the_callers_error_state(f1_row, monkeypatch):
-    # with two workers of 8 lambdas each, lambdas 8-15 are the helper's
-    # first block; lam * beta**2 overflows there alone
+    # an irfft that overflows on the helper thread alone
+    caller = threading.get_ident()
+    irfft = np.fft.irfft
+
+    def overflowing_irfft(*args, **kwargs):
+        if threading.get_ident() != caller:
+            np.multiply(np.array([1e305]), 1e305)
+        return irfft(*args, **kwargs)
+
     monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    monkeypatch.setattr(np.fft, "irfft", overflowing_irfft)
     path, lambdas = f1_row
-    lambdas = np.ones(40)
-    lambdas[8:16] = 1e305
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)
+
+
+def test_overflowing_lambdas_leave_the_mean(f1_row, monkeypatch):
+    # with two workers of 8 lambdas each, lambdas 8-15 are the helper's
+    # first block; lam * beta**2 overflows there alone, and s = 0 leaves
+    # only the constant mode, as at the largest finite lam * beta**2
+    monkeypatch.setattr(experiment, "_USABLE_CORES", 2)
+    path, _ = f1_row
+    lambdas = np.ones(40)
+    lambdas[8:16] = 1e305
+    with np.errstate(over="raise", invalid="raise"):
+        errors = tr.uniform_error_curve(path, lambdas, _f1_spectrum(1001), 1001)
+    mean_only = tr.uniform_error_curve(path, np.array([1e290]), _f1_spectrum(1001), 1001)
+    assert np.all(np.isfinite(errors))
+    assert_allclose(errors[8:16], mean_only[0], rtol=1e-12)
+    assert np.all(errors[:8] == tr.uniform_error_curve(path, np.ones(8), _f1_spectrum(1001), 1001))
 
 
 def test_package_functions_run_on_the_calling_thread(monkeypatch):

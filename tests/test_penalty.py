@@ -12,8 +12,6 @@ import trigreg as tr
 def test_laplace_weights_default_exponent():
     pen = tr.laplace_penalty(2)
     assert pen.degree == 2
-    assert pen.exponent_s == 1.0
-    assert not pen.constant_form
     assert_allclose(pen.beta, [0.0, 1.0, 1.0, 2.0, 2.0])
 
 
@@ -45,30 +43,9 @@ def test_laplace_refuses_an_overflowing_top_weight():
         tr.laplace_penalty(500, 58.0)
 
 
-def test_constant_penalty_fills_every_mode():
-    pen = tr.constant_penalty(2, 1.5)
-    assert pen.constant_form
-    assert pen.exponent_s is None
-    assert_allclose(pen.beta, np.full(5, 1.5))
-
-
-def test_constant_penalty_rejects_negative():
-    with pytest.raises(ValueError, match=">= 0"):
-        tr.constant_penalty(2, -0.1)
-
-
-@pytest.mark.parametrize("value, message", [(math.nan, "must be >= 0, got nan"),
-                                            (math.inf, "must be finite, got inf")])
-def test_constant_penalty_rejects_non_finite(value, message):
-    # a NaN weight used to give all-NaN weights, so solve returned NaN coefficients
-    with pytest.raises(ValueError, match=f"constant weight {message}"):
-        tr.constant_penalty(2, value)
-
-
 def test_beta_arrays_are_read_only():
-    for pen in (tr.laplace_penalty(3), tr.constant_penalty(3, 2.0)):
-        with pytest.raises(ValueError):
-            pen.beta[0] = 9.9
+    with pytest.raises(ValueError):
+        tr.laplace_penalty(3).beta[0] = 9.9
 
 
 def test_smoothness_norm_single_mode():

@@ -212,8 +212,11 @@ def test_exchange_identity_between_derivatives():
 
 def test_diagnostics_reject_constant_form_penalty(single_mode):
     g, samples, _ = single_mode
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.residual_sq(samples, g, 2, tr.constant_penalty(2, 1.0), 1.0)
+    cpen = tr.PenaltySequence(2, np.ones(5))
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
+        tr.residual_sq(samples, g, 2, cpen, 1.0)
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
+        tr.solve(samples, g, 2, 1.0, cpen)
 
 
 def test_diagnostics_reject_negative_lambda(single_mode):
@@ -504,6 +507,35 @@ def test_path_matches_the_mode_wise_reference(n_points, s):
     assert np.linalg.norm(kappa - want["kappa"]) <= 1e-10 * np.linalg.norm(want["kappa"])
 
 
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_overflowing_lambda_beta_sq_has_the_limit_factors():
+    """Where lam*beta**2 overflows, s = 0 and w = 1; every other entry is
+    bitwise the one a lambda below the overflow limit gets."""
+    g = tr.make_grid(101)
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
+    lambdas = np.array([1e305, 1e300, 1.0])
+    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    beta_sq = np.arange(51.0) ** 2
+    with np.errstate(over="ignore"):
+        scaled = np.multiply.outer(lambdas, beta_sq)
+    overflowed = np.isinf(scaled)
+    assert overflowed[0].any() and not overflowed[1:].any()
+    shrink, weight = path.factors(lambdas)
+    assert np.all(shrink[overflowed] == 0.0) and np.all(weight[overflowed] == 1.0)
+    want = 1.0 / (1.0 + scaled[~overflowed])
+    assert np.array_equal(shrink[~overflowed], want)
+    assert np.array_equal(weight[~overflowed], scaled[~overflowed] * want)
+    for k, lam in enumerate(lambdas):  # one float takes the same branch as the array
+        assert np.array_equal(path.factors(float(lam))[1], weight[k])
+    # s = 0 on every penalized mode leaves the mean: J is the squared upper Morozov bound
+    assert path.residual_sq()[0] == pytest.approx(path.discrepancy_bounds()[1] ** 2, rel=1e-14)
+    assert np.all(np.isfinite(path.curvature())) and np.all(np.isfinite(path.gcv()))
+    alpha = path.alpha(1e305)
+    assert np.all(alpha[overflowed[0][tr.mode_layout(50)[0]]] == 0.0) and alpha[0] == path.coeffs[0]
+    approx = tr.solve(noisy, g, 50, 1e305, tr.laplace_penalty(50))
+    assert np.array_equal(approx.alpha, path.alpha(1e305))
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -550,13 +582,14 @@ def test_oracle_needs_eval_grid_that_resolves_the_degree():
 
 def test_selection_rejects_constant_form_penalty_everywhere(single_mode):
     g, samples, _ = single_mode
-    cpen = tr.constant_penalty(2, 1.0)
+    cpen = tr.PenaltySequence(2, np.ones(5))
     params = tr.parameter_grid(t_max=10)
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.select_lcurve(samples, g, 2, cpen, params)
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.select_morozov(samples, g, 2, cpen, params, 0.1)
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.select_gcv(samples, g, 2, cpen, params)
-    with pytest.raises(ValueError, match="constant-form"):
-        tr.select_oracle(samples, g, 2, cpen, params, np.cos)
+    for call in (
+        lambda: tr.select_lcurve(samples, g, 2, cpen, params),
+        lambda: tr.select_morozov(samples, g, 2, cpen, params, 0.1),
+        lambda: tr.select_gcv(samples, g, 2, cpen, params),
+        lambda: tr.select_oracle(samples, g, 2, cpen, params, np.cos),
+        lambda: tr.solve(samples, g, 2, 0.5, cpen),
+    ):
+        with pytest.raises(ValueError, match="zero weight on the constant mode"):
+            call()
