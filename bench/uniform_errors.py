@@ -13,18 +13,16 @@ with ``emit_curves``, the peak memory one such call allocates
 wall time per call (the per-call set-up cost grows with K).  Work done once
 per sweep, such as sampling the true function and its real FFT, is outside
 the timed call.  ``workers`` is the number of threads the curve spreads
-its lambdas over (1 for trees that use one).
+its lambdas over.
 
-``--src`` imports ``trigreg`` from another source tree, so two trees can be
-compared on one machine.  Older trees name the function ``_uniform_errors``,
-and the oldest take the sampled truth instead of its spectrum; each is called
-its own way.  Prints one JSON object.
+``--src`` imports ``trigreg`` from another source tree with the same
+``uniform_error_curve(path, lambdas, truth_spectrum, n_points)``, so two
+trees can be compared on one machine.  Prints one JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import statistics
 import sys
@@ -69,8 +67,6 @@ def _irfft_calls(call) -> tuple:
 
 def row_call(trigreg, n: int, k: int):
     """A no-argument call of the uniform-error curve on one sweep row."""
-    experiment = trigreg.experiment
-    curve = getattr(experiment, "uniform_error_curve", None) or experiment._uniform_errors
     grid, degree = trigreg.make_grid(n), (n - 1) // 2
     func = trigreg.gallery("f1")
     noisy = trigreg.add_noise_snr(func(grid.nodes), 20.0, seed=n).noisy
@@ -78,11 +74,8 @@ def row_call(trigreg, n: int, k: int):
     path = trigreg.RegularizationPath.from_samples(
         noisy, grid, degree, trigreg.laplace_penalty(degree), lambdas
     )
-    truth = np.asarray(func(trigreg.uniform_eval_points(k)), dtype=float)
-    if "truth_spectrum" in inspect.signature(curve).parameters:
-        spectrum = np.fft.rfft(truth)
-        return lambda: curve(path, lambdas, spectrum, k)
-    return lambda: curve(path, lambdas, truth)
+    spectrum = np.fft.rfft(func(trigreg.uniform_eval_points(k)))
+    return lambda: trigreg.uniform_error_curve(path, lambdas, spectrum, k)
 
 
 def main(argv=None) -> int:
@@ -93,9 +86,8 @@ def main(argv=None) -> int:
     import trigreg
 
     lambdas = 400
-    worker_count = getattr(trigreg.experiment, "_worker_count", lambda count: 1)
     report = {"python": sys.version.split()[0], "numpy": np.__version__, "lambdas": lambdas,
-              "workers": worker_count(lambdas), "rows": {}}
+              "workers": trigreg.experiment._worker_count(lambdas), "rows": {}}
     for n in SAMPLE_COUNTS:
         for k in EVAL_POINTS:
             call = row_call(trigreg, n, k)

@@ -43,11 +43,11 @@ import numpy as np
 from .grid import (
     TWO_PI,
     FourierCoefficients,
+    _projection_spectrum,
     analyze,
     make_grid,
     mode_layout,
     uniform_eval_points,
-    uniform_projection,
     uniform_spectrum,
 )
 from .penalty import laplace_penalty
@@ -384,8 +384,7 @@ def sweep(
     # The L2 curves come from the closed-form path (Parseval on the evaluation
     # grid); the uniform errors from p_lam - f in the rfft domain of that grid.
     truth = np.asarray(func(uniform_eval_points(eval_points)), dtype=float)
-    projected_truth = uniform_projection(truth, degree)
-    truth_spectrum = np.fft.rfft(truth)
+    projected_truth, truth_spectrum = _projection_spectrum(truth, degree)
 
     rows = []
     for i, snr_db in enumerate(snr_levels):

@@ -277,6 +277,11 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     ||coefficients||**2, which cancels catastrophically when the projection
     captures nearly everything.
     """
+    return _projection_spectrum(values, degree)[0]
+
+
+def _projection_spectrum(values, degree: int):
+    """(:func:`uniform_projection` of the values, the rfft of the values it comes from)."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-d vector of samples, got shape {values.shape}")
@@ -298,7 +303,7 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     # bins above the degree stand for themselves and their mirrors, bar an even K's Nyquist bin
     tail = spec[degree + 1 : (k + 1) // 2]
     power = 2.0 * np.vdot(tail, tail).real + (abs(spec[-1]) ** 2 if k % 2 == 0 else 0.0)
-    return coeffs, TWO_PI / k**2 * float(power)
+    return (coeffs, TWO_PI / k**2 * float(power)), spec
 
 
 def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:

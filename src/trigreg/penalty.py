@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FourierCoefficients, mode_layout
+from .grid import mode_layout
 
 __all__ = [
     "PenaltySequence",
     "laplace_penalty",
-    "sobolev_norm_truncated",
 ]
 
 
@@ -79,17 +78,3 @@ def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
     beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta)
 
-
-def sobolev_norm_truncated(coeffs: FourierCoefficients, penalty: PenaltySequence) -> float:
-    """Weighted coefficient norm sqrt(sum_modes (beta * coefficient)**2).
-
-    Measures the smoothness of the degree-L polynomial with the given
-    coefficients; the constant mode never contributes under a power-law
-    penalty because its weight is zero.
-    """
-    if coeffs.degree != penalty.degree:
-        raise ValueError(
-            f"coefficient degree {coeffs.degree} does not match penalty degree "
-            f"{penalty.degree}"
-        )
-    return float(np.linalg.norm(penalty.beta * coeffs.values))

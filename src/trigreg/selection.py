@@ -9,10 +9,12 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
 * L-curve (``select_lcurve``): maximal-curvature corner of the log-log
   residual-versus-smoothness curve, using a closed-form curvature;
 * generalized cross validation (``select_gcv``): minimizer of the GCV score,
-  available in closed form on interpolatory grids N = 2*degree + 1;
+  in closed form for every N >= 2*degree + 1;
 * oracle (``select_oracle``): minimizer of the true L2 error, for benchmarks.
 
-Each strategy is a pure function of one :class:`RegularizationPath`.
+Each strategy is a pure function of one :class:`RegularizationPath` that
+returns a :class:`SelectionReport` with a chosen lambda or raises a
+:class:`SelectionError`.
 :data:`STRATEGIES`, the single list of them, maps each name to its runner;
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
@@ -37,7 +39,6 @@ from .penalty import PenaltySequence, _require_nonnegative, _require_positive
 
 __all__ = [
     "SelectionError",
-    "GridExhaustedError",
     "InapplicableStrategyError",
     "ParameterGrid",
     "RegularizationPath",
@@ -57,12 +58,9 @@ class SelectionError(RuntimeError):
     """A selection strategy could not produce a parameter."""
 
 
-class GridExhaustedError(SelectionError):
-    """The discrepancy never dropped to the noise level anywhere on the grid."""
-
-
 class InapplicableStrategyError(SelectionError):
-    """The data degenerates the strategy's objective (e.g. nothing to penalize)."""
+    """The data violates the strategy's assumption or degenerates its objective
+    (e.g. a noise norm Morozov cannot meet, or nothing to penalize)."""
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,12 @@ def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400)
 class SelectionReport:
     """Outcome of one strategy: the chosen parameter plus per-lambda diagnostics.
 
-    ``chosen_lambda`` is None when the strategy failed in a surfaced way
-    (currently only: discrepancy-principle noise assumption violated).
-    ``chosen_index`` is the 0-based offset into ``lambdas`` the scan stopped
-    at; when ``refined`` is set, ``chosen_lambda`` was bisection-refined and
-    lies between neighboring grid values instead of exactly on one.
+    A strategy that cannot choose raises a :class:`SelectionError` instead,
+    so every report holds a chosen lambda.  ``chosen_index`` is the 0-based
+    offset into ``lambdas`` the scan stopped at; when ``refined`` is set,
+    ``chosen_lambda`` was bisection-refined and lies between neighboring
+    grid values instead of exactly on one.  ``assumption_ok`` is True on
+    every Morozov report and None on the others.
 
     Per-lambda columns are filled only where the strategy computes them:
     ``residual_sq`` (weighted squared node residual), ``penalty_sq`` (squared
@@ -114,8 +113,8 @@ class SelectionReport:
 
     strategy: str
     lambdas: np.ndarray
-    chosen_lambda: float | None
-    chosen_index: int | None
+    chosen_lambda: float
+    chosen_index: int
     refined: bool = False
     residual_sq: np.ndarray | None = None
     penalty_sq: np.ndarray | None = None
@@ -159,7 +158,7 @@ class RegularizationPath:
         J - r0 = sum w**2 * e             J: weighted squared node residual
         A      = sum w * s * e            = lam * K,  K: squared seminorm
         B      = -2 * sum w**2 * s * e    = lam**2 * K',  K' = dK/dlam
-        trace  = sum of w over modes      the GCV denominator
+        trace  = sum of w over modes      tr(I - H) - (N - (2L + 1)), H the hat matrix
 
     so K = A/lam and K' = B/lam**2, formed directly at lam = 0.  ``r0`` =
     ||f - P_L f||_N**2, the part of the samples no degree-L polynomial
@@ -209,15 +208,14 @@ class RegularizationPath:
         top = float(self._frequencies[0].max())
         return np.finfo(float).max / (2.0 * top) if top > 0 else math.inf
 
-    def factors(self, lam, out=None):
+    def factors(self, lam):
         """The factors s and w of each frequency at the given lambdas, shape
-        (..., L+1), written into the pair of arrays ``out`` if given.  Where
-        lam*beta**2 overflows, s = 0 and w = 1, their limits: only lambdas
-        above ``_lam_limit`` take that branch, so every finite entry is the
-        same on either side of it.  A float (a bisection step) is compared
-        as it is, with no array reduction."""
+        (..., L+1).  Where lam*beta**2 overflows, s = 0 and w = 1, their
+        limits: only lambdas above ``_lam_limit`` take that branch, so every
+        finite entry is the same on either side of it.  A float (a bisection
+        step) is compared as it is, with no array reduction."""
         top = lam if isinstance(lam, float) else np.max(lam, initial=0.0)
-        return self._factors(lam, out, top > self._lam_limit)
+        return self._factors(lam, None, top > self._lam_limit)
 
     def _factors(self, lam, out, overflows: bool):
         beta_sq = self._frequencies[0]
@@ -274,10 +272,13 @@ class RegularizationPath:
         return float(self.r0 + weight**2 @ self._frequencies[1])
 
     def _unscaled(self, power: int):
-        """A/lam (power 1) or B/lam**2 (power 2) at every path lambda; at lam = 0,
-        where s = 1, their limits sum beta**2 * e and -2 * sum beta**4 * e."""
+        """A/lam (power 1) or B/lam/lam (power 2; lam**2 overflows above 1.3e154)
+        at every path lambda; at lam = 0, where s = 1, their limits sum
+        beta**2 * e and -2 * sum beta**4 * e."""
         zero = self.lambdas == 0
-        out = np.divide(self._sums[power], self.lambdas**power, where=~zero, out=np.empty(zero.shape))
+        out = np.divide(self._sums[power], self.lambdas, where=~zero, out=np.empty(zero.shape))
+        if power == 2:
+            np.divide(out, self.lambdas, where=~zero, out=out)
         if zero.any():
             beta_sq, energy, _ = self._frequencies
             out[zero] = (-2.0) ** (power - 1) * (beta_sq**power @ energy)
@@ -308,10 +309,13 @@ class RegularizationPath:
             return j * a / np.abs(b) * (b * j + a * j + a * b) / (a * a + j * j) ** 1.5
 
     def gcv(self):
-        """GCV score V = sum (w*c)**2 / (sum w)**2; valid on interpolatory grids only."""
+        """GCV score V = ||(I - H) f||_N**2 / tr(I - H)**2 of the hat matrix H
+        (Golub, Heath and Wahba, 1979), for every N >= 2L + 1.  H shrinks the
+        2L + 1 modes by s and drops the other N - (2L + 1) directions of the
+        samples, so V = J / ((N - (2L + 1)) + sum w)**2."""
         fit, _, _, trace = self._sums
         with np.errstate(divide="ignore", invalid="ignore"):
-            return fit / trace**2
+            return (self.r0 + fit) / ((self.n_points - self.coeffs.size) + trace) ** 2
 
     def l2_error(self, truth_coeffs, remainder: float):
         """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
@@ -363,8 +367,7 @@ def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySeq
 
 
 def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
-                   params: ParameterGrid, noise_norm: float, refine: bool = True,
-                   check_assumption: bool = True) -> SelectionReport:
+                   params: ParameterGrid, noise_norm: float, refine: bool = True) -> SelectionReport:
     """Discrepancy principle: first grid lambda whose residual reaches the noise.
 
     Scans k = 1..T (lambda decreasing) and stops at the first
@@ -376,17 +379,16 @@ def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: Penalty
     The principle is only meaningful when the noise norm separates the
     full-degree residual from the residual of the node mean (see
     :meth:`RegularizationPath.discrepancy_bounds`); if that assumption
-    fails, the report carries ``assumption_ok=False`` and no chosen lambda
-    rather than a silent fallback.  If F stays positive across the whole
-    grid although the assumption was satisfied, the root lies below
-    lambda_T and lambda_T is returned; with assumption checking disabled
-    and no root anywhere, :class:`GridExhaustedError` is raised.
+    fails, it raises :class:`InapplicableStrategyError` rather than fall
+    back silently.  If F stays positive across the whole grid, the root
+    lies below lambda_T (F(0) <= 0 under the assumption) and lambda_T is
+    returned.
     """
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
-    return STRATEGIES["morozov"].run(path, params, noise_norm, refine, check_assumption)
+    return STRATEGIES["morozov"].run(path, params, noise_norm, refine)
 
 
-def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=True, **_):
+def _run_morozov(path, params, noise_norm=None, refine=True, **_):
     _require_nonnegative(noise_norm, "noise norm")
     noise_sq = float(noise_norm) ** 2
     j_vals = path.residual_sq()
@@ -395,18 +397,10 @@ def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=Tr
 
     lower, upper = path.discrepancy_bounds()
     slack = 1e-10 * upper  # forgive pure roundoff in the interpolation residual
-    assumption_ok = (lower <= noise_norm + slack) and (noise_norm <= upper + slack)
-
-    report = dict(
-        strategy="morozov",
-        lambdas=params.lambdas,
-        residual_sq=j_vals,
-        discrepancy=f_vals,
-        noise_norm_used=float(noise_norm),
-    )
-    if check_assumption and not assumption_ok:
-        return SelectionReport(
-            chosen_lambda=None, chosen_index=None, assumption_ok=False, **report
+    if not (lower <= noise_norm + slack and noise_norm <= upper + slack):
+        raise InapplicableStrategyError(
+            "morozov noise assumption violated: the noise norm does not separate "
+            "the full-degree residual from the residual of the node mean"
         )
 
     def bisect(lo: float, hi: float) -> float:
@@ -438,13 +432,7 @@ def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=Tr
             # so the root lies above the grid; keep the largest grid value.
     else:
         # F > 0 everywhere on the grid.  Under the verified assumption the
-        # root exists below lambda_T (F -> J(0) - noise**2 <= 0 as lam -> 0);
-        # without it there is nothing to refine toward.
-        if not assumption_ok:
-            raise GridExhaustedError(
-                "discrepancy never reached the noise level on the parameter grid "
-                "and no root exists below it"
-            )
+        # root exists below lambda_T (F -> J(0) - noise**2 <= 0 as lam -> 0).
         idx = params.t_max - 1
         chosen = float(params.lambdas[idx])
         refined = False
@@ -452,11 +440,15 @@ def _run_morozov(path, params, noise_norm=None, refine=True, check_assumption=Tr
             chosen = bisect(0.0, chosen)
             refined = True
     return SelectionReport(
+        strategy="morozov",
+        lambdas=params.lambdas,
         chosen_lambda=chosen,
         chosen_index=idx,
         refined=refined,
-        assumption_ok=assumption_ok,
-        **report,
+        residual_sq=j_vals,
+        discrepancy=f_vals,
+        noise_norm_used=float(noise_norm),
+        assumption_ok=True,
     )
 
 
@@ -505,19 +497,14 @@ def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequ
                params: ParameterGrid) -> SelectionReport:
     """Minimize the closed-form GCV score over the parameter grid.
 
-    Requires the interpolatory setting N = 2*degree + 1 and data with a
-    nonzero penalized seminorm (not constant up to roundoff).
+    Any N >= 2*degree + 1 works (see :meth:`RegularizationPath.gcv`); the
+    data needs a nonzero penalized seminorm (not constant up to roundoff).
     """
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     return STRATEGIES["gcv"].run(path, params)
 
 
 def _run_gcv(path, params, **_):
-    if path.n_points != path.coeffs.size:
-        raise InapplicableStrategyError(
-            "GCV selection requires the interpolatory setting "
-            f"n_points = 2*degree + 1, got n_points = {path.n_points}"
-        )
     _require_penalized_data(path, "GCV")
     v_vals = path.gcv()
     return _pick(params, "gcv", "GCV", "the GCV score", v_vals, np.argmin, gcv=v_vals)
@@ -571,8 +558,7 @@ def run_strategies(path: RegularizationPath, params: ParameterGrid, names, **inp
     and ``truth``, the oracle's :func:`~trigreg.grid.uniform_projection` of
     the true function on the evaluation grid.  Returns ``(reports,
     failures)``: the report of each strategy that chose a lambda, and the
-    message of each that raised a :class:`SelectionError` or chose none
-    (Morozov with its noise assumption violated).
+    message of each that raised a :class:`SelectionError`.
     """
     unknown = [name for name in names if name not in STRATEGIES]
     if unknown:
@@ -583,15 +569,7 @@ def run_strategies(path: RegularizationPath, params: ParameterGrid, names, **inp
         if strategy.needs and inputs.get(strategy.needs) is None:
             raise ValueError(f"strategy {name!r} needs the input {strategy.needs!r}")
         try:
-            report = strategy.run(path, params, **inputs)
+            reports[name] = strategy.run(path, params, **inputs)
         except SelectionError as exc:
             failures[name] = str(exc)
-            continue
-        if report.chosen_lambda is None:
-            failures[name] = (
-                f"{name} noise assumption violated: the noise norm does not separate "
-                "the full-degree residual from the residual of the node mean"
-            )
-        else:
-            reports[name] = report
     return reports, failures

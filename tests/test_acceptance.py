@@ -159,29 +159,31 @@ def test_06_discrepancy_principle_root_and_regularity(
     )
 
 
-def test_07_gcv_closed_form_matches_explicit_matrices(params):
-    """Shortcut GCV score vs the defining quotient with assembled matrices."""
-    g = tr.make_grid(11)
+@pytest.mark.parametrize("n, degree", [(11, 5), (21, 5), (31, 7), (101, 20)])
+def test_07_gcv_closed_form_matches_explicit_matrices(params, n, degree):
+    """Shortcut GCV score vs the defining quotient with assembled matrices,
+    on interpolation (N = 2L + 1) and hyperinterpolation (N > 2L + 1) grids."""
+    g = tr.make_grid(n)
     noisy = tr.add_noise_snr(np.exp(np.cos(g.nodes)), 20.0, 11).noisy
-    mat = tr.basis_matrix(g.nodes, 5)
-    w = np.eye(11) * g.weight
+    mat = tr.basis_matrix(g.nodes, degree)
+    w = np.eye(n) * g.weight
     worst = 0.0
     # the 20 largest grid values keep the reference trace away from the
     # catastrophic cancellation it suffers for lam*beta^2 << 1 (a limit of
     # the assembled-matrix computation itself, not of the closed form)
     for s in (1.0, 2.0):
-        pen = tr.laplace_penalty(5, s)
-        closed_scores = tr.RegularizationPath.from_samples(noisy, g, 5, pen, params.lambdas[:20]).gcv()
+        pen = tr.laplace_penalty(degree, s)
+        closed_scores = tr.RegularizationPath.from_samples(noisy, g, degree, pen, params.lambdas[:20]).gcv()
         b_sq = np.diag(pen.beta**2)
         for lam, closed in zip(params.lambdas[:20], closed_scores):
             gram = mat.T @ w @ mat + lam * b_sq
             alpha = np.linalg.solve(gram, mat.T @ w @ noisy)
             resid = np.sqrt(np.diag(w)) * (mat @ alpha - noisy)
             smoother = np.sqrt(w) @ mat @ np.linalg.solve(gram, mat.T @ np.sqrt(w))
-            explicit = float(resid @ resid) / float(np.trace(np.eye(11) - smoother)) ** 2
+            explicit = float(resid @ resid) / float(np.trace(np.eye(n) - smoother)) ** 2
             worst = max(worst, abs(closed - explicit) / explicit)
     assert worst <= 1e-12
-    print(f"PASS gcv: closed vs explicit {worst:.2e} <= 1e-12")
+    print(f"PASS gcv at N={n}, L={degree}: closed vs explicit {worst:.2e} <= 1e-12")
 
 
 def test_08_condition_number_matches_assembled_system(params):

@@ -319,6 +319,29 @@ def test_sweep_uniform_at_chosen_equals_the_curve(name):
             assert row.uniform[strategy] == with_curve.curve[1][idx]
 
 
+def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
+    """One rfft per row (its samples) and one of the truth, which gives the
+    truth's coefficients, remainder and spectrum; the curves equal those
+    built from a separate uniform_projection and rfft."""
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    levels = (10.0, 40.0, 70.0)
+    rep = tr.sweep("f1", 101, snr_levels=levels, emit_curves=True)
+    assert sorted(calls) == [101] * len(levels) + [10000]
+    monkeypatch.undo()
+    truth = tr.gallery("f1")(tr.uniform_eval_points(10000))
+    projected, spectrum = tr.uniform_projection(truth, rep.degree), np.fft.rfft(truth)
+    for row in rep.rows:
+        path = _sweep_path(tr.gallery("f1"), rep, row)
+        assert np.array_equal(row.curve[0], path.l2_error(*projected))
+        assert np.array_equal(row.curve[1], tr.uniform_error_curve(path, path.lambdas, spectrum, 10000))
+
+
 def test_sweep_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strateg"):
         tr.sweep("f1", 21, snr_levels=(20.0,), strategies=("ridge",), seed=1)

@@ -1,4 +1,4 @@
-"""Penalization sequences and the truncated smoothness norm."""
+"""Penalization sequences."""
 
 import math
 
@@ -47,31 +47,3 @@ def test_beta_arrays_are_read_only():
     with pytest.raises(ValueError):
         tr.laplace_penalty(3).beta[0] = 9.9
 
-
-def test_smoothness_norm_single_mode():
-    """For cos x the weighted norm is just beta(1,1) * sqrt(pi)."""
-    g = tr.make_grid(7)
-    c = tr.analyze(np.cos(g.nodes), g, 3)
-    assert tr.sobolev_norm_truncated(c, tr.laplace_penalty(3, 1.0)) == pytest.approx(
-        math.sqrt(np.pi), rel=1e-13
-    )
-    assert tr.sobolev_norm_truncated(c, tr.laplace_penalty(3, 2.0)) == pytest.approx(
-        math.sqrt(np.pi), rel=1e-13
-    )
-
-
-def test_smoothness_norm_ignores_constant_mode():
-    g = tr.make_grid(7)
-    c = tr.analyze(np.full(7, 4.0), g, 3)
-    assert tr.sobolev_norm_truncated(c, tr.laplace_penalty(3)) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_smoothness_norm_hand_value():
-    # beta = [0, 1, 1, 2, 2] against coefficients [5, 3, 0, 0, 4]:
-    # sqrt((1*3)^2 + (2*4)^2) = sqrt(73)
-    coeffs = tr.FourierCoefficients(
-        degree=2, values=np.array([5.0, 3.0, 0.0, 0.0, 4.0]), n_points=5
-    )
-    assert tr.sobolev_norm_truncated(coeffs, tr.laplace_penalty(2)) == pytest.approx(
-        math.sqrt(73.0)
-    )

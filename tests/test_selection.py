@@ -318,29 +318,28 @@ def test_morozov_zero_noise_pushes_to_grid_floor(single_mode):
     assert refined.chosen_lambda <= params.lambdas[-1]
 
 
+MOROZOV_VIOLATED = (
+    "morozov noise assumption violated: the noise norm does not separate "
+    "the full-degree residual from the residual of the node mean"
+)
+
+
 def test_morozov_reports_violated_assumption(single_mode):
     g, samples, pen = single_mode
+    params = tr.parameter_grid()
     # noise claimed larger than the centered signal norm: no root can exist
-    rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), 100.0)
-    assert rep.assumption_ok is False
-    assert rep.chosen_lambda is None
-    assert rep.chosen_index is None
-
-
-def test_morozov_exhaustion_error_when_check_disabled():
-    # truncating at degree 2 leaves a genuine least-squares floor J(0) > 0,
-    # so a claimed noise level below it admits no discrepancy root at all
+    with pytest.raises(tr.InapplicableStrategyError, match=f"^{MOROZOV_VIOLATED}$"):
+        tr.select_morozov(samples, g, 2, pen, params, 100.0)
+    path = tr.RegularizationPath.from_samples(samples, g, 2, pen, params.lambdas)
+    reports, failures = tr.run_strategies(path, params, ["morozov", "lcurve"], noise_norm=100.0)
+    assert list(reports) == ["lcurve"]
+    assert failures == {"morozov": MOROZOV_VIOLATED}
+    # truncating at degree 2 leaves a least-squares floor J(0) > 0, so a
+    # claimed noise level below it violates the assumption from the other side
     g = tr.make_grid(11)
     samples = np.cos(g.nodes) + 0.5 * np.sin(4 * g.nodes)
-    pen = tr.laplace_penalty(2)
-    with pytest.raises(tr.GridExhaustedError, match="never reached the noise level"):
-        tr.select_morozov(
-            samples, g, 2, pen, tr.parameter_grid(), 1e-8, check_assumption=False
-        )
-    # with the default check the same input reports the violated assumption
-    rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), 1e-8)
-    assert rep.assumption_ok is False
-    assert rep.chosen_lambda is None
+    with pytest.raises(tr.InapplicableStrategyError, match=f"^{MOROZOV_VIOLATED}$"):
+        tr.select_morozov(samples, g, 2, tr.laplace_penalty(2), params, 1e-8)
 
 
 def test_morozov_requires_nonnegative_noise(single_mode):
@@ -373,7 +372,6 @@ def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
 
 
 def test_exhaustion_error_is_a_selection_error():
-    assert issubclass(tr.GridExhaustedError, tr.SelectionError)
     assert issubclass(tr.InapplicableStrategyError, tr.SelectionError)
 
 
@@ -424,10 +422,23 @@ def test_select_gcv_minimizes_score(single_mode):
     assert_allclose(rep.gcv[:5], ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2, rtol=1e-13)
 
 
-def test_select_gcv_requires_interpolatory_grid():
-    g = tr.make_grid(11)
-    with pytest.raises(tr.InapplicableStrategyError, match="interpolatory"):
-        tr.select_gcv(np.cos(g.nodes), g, 2, tr.laplace_penalty(2), tr.parameter_grid())
+def test_select_gcv_on_a_hyperinterpolation_grid_minimizes_the_explicit_quotient():
+    # N = 21 > 2L + 1 = 11: the hat matrix also drops the 10 directions no
+    # degree-5 polynomial reaches, so they add N - (2L + 1) to tr(I - H)
+    g = tr.make_grid(21)
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 21).noisy
+    pen, params = tr.laplace_penalty(5), tr.parameter_grid(q=0.5**0.5, t_max=60)
+    mat, sqrt_w = tr.basis_matrix(g.nodes, 5), math.sqrt(g.weight)
+    explicit = []
+    for lam in params.lambdas:
+        gram = g.weight * mat.T @ mat + lam * np.diag(pen.beta**2)
+        hat = g.weight * mat @ np.linalg.solve(gram, mat.T)
+        resid = sqrt_w * (hat @ noisy - noisy)
+        explicit.append(float(resid @ resid) / float(np.trace(np.eye(21) - hat)) ** 2)
+    rep = tr.select_gcv(noisy, g, 5, pen, params)
+    assert_allclose(rep.gcv, explicit, rtol=1e-12)
+    assert rep.chosen_index == int(np.argmin(explicit))
+    assert 0 < rep.chosen_index < params.t_max - 1
 
 
 def test_select_gcv_refuses_zero_data():
@@ -534,6 +545,22 @@ def test_overflowing_lambda_beta_sq_has_the_limit_factors():
     assert np.all(alpha[overflowed[0][tr.mode_layout(50)[0]]] == 0.0) and alpha[0] == path.coeffs[0]
     approx = tr.solve(noisy, g, 50, 1e305, tr.laplace_penalty(50))
     assert np.array_equal(approx.alpha, path.alpha(1e305))
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_penalty_sq_prime_on_lambdas_whose_square_overflows():
+    """K' = B/lam/lam: lam**2 overflows above 1.3e154, and K' there is -0.0
+    (its limit) or a subnormal, with no overflow warning."""
+    g = tr.make_grid(101)
+    noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
+    lambdas = np.geomspace(1e200, 1.0, 50)
+    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    k_prime = path.penalty_sq_prime()
+    assert k_prime[0] == 0.0 and np.all(k_prime <= 0.0)
+    with np.errstate(all="ignore"):  # the reference's kappa squares lam
+        want = ref.path_diagnostics(path.coeffs, path.beta_sq, lambdas, path.r0)
+    assert_allclose(k_prime, want["K'"], rtol=1e-12, atol=1e-300)
+    assert_allclose(path.penalty_sq(), want["K"], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
