@@ -217,6 +217,16 @@ def _parse_levels(text: str) -> list[float]:
         raise CliError("parse-error", f"cannot parse --snr-db value {text!r}") from None
 
 
+def _first_repeat(items):
+    """The first entry of ``items`` that an earlier entry equals, or None."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 def _parse_strategies(cfg: argparse.Namespace) -> list[str]:
     approximate = cfg.command == "approximate"
     raw = cfg.strategy or ("manual" if approximate and cfg.lam is not None else "all")
@@ -232,6 +242,9 @@ def _parse_strategies(cfg: argparse.Namespace) -> list[str]:
         raise CliError("config-error", "no strategy given")
     if approximate and len(names) > 1:
         raise CliError("config-error", "approximate takes a single --strategy")
+    repeated = _first_repeat(names)
+    if repeated is not None:
+        raise CliError("config-error", f"--strategy names {repeated!r} more than once")
     if names == ["manual"] and cfg.lam is None:
         raise CliError("config-error", "--strategy manual needs --lambda")
     return names
@@ -373,14 +386,14 @@ def _write_csv(path: str, metadata: dict, header: list[str], columns):
     _atomic_write(path, chunks())
 
 
-def _metadata(cfg: argparse.Namespace, grid, source: str, **extra) -> dict:
+def _metadata(cfg: argparse.Namespace, n_points: int, source: str, **extra) -> dict:
     meta = {
         "tool": "trigreg",
         "version": __version__,
         "command": cfg.command,
         "source": source,
-        "n_points": grid.n_points,
-        "degree": (grid.n_points - 1) // 2,
+        "n_points": n_points,
+        "degree": (n_points - 1) // 2,
         "s": cfg.s,
         "seed": cfg.seed,
         "zeta0": cfg.zeta0,
@@ -442,7 +455,7 @@ def _scan(cfg: argparse.Namespace) -> _Scan:
     if failures and len(names) == 1:
         raise CliError("strategy-error", failures[names[0]])
     meta = _metadata(
-        cfg, grid, source,
+        cfg, grid.n_points, source,
         strategy=",".join(names),
         snr_db=levels[0] if levels else None,
         noise_norm=noise_norm,
@@ -551,25 +564,24 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     levels = _parse_levels(cfg.snr_db)
     if not levels:
         raise CliError("config-error", "--snr-db resolved to an empty level list")
+    repeated = _first_repeat(levels)
+    if repeated is not None:
+        raise CliError("config-error", f"--snr-db names the level {_fmt(repeated)} more than once")
     names = _parse_strategies(cfg)
     params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
-    grid = make_grid(cfg.n)
-    try:
-        report = sweep(
-            cfg.gallery,
-            cfg.n,
-            exponent_s=cfg.s,
-            snr_levels=levels,
-            strategies=names,
-            seed=cfg.seed,
-            params=params,
-            eval_points=cfg.eval_points,
-            emit_curves=cfg.emit_curves,
-        )
-    except ValueError as exc:
-        raise CliError("config-error", str(exc)) from None
+    report = sweep(
+        cfg.gallery,
+        cfg.n,
+        exponent_s=cfg.s,
+        snr_levels=levels,
+        strategies=names,
+        seed=cfg.seed,
+        params=params,
+        eval_points=cfg.eval_points,
+        emit_curves=cfg.emit_curves,
+    )
 
-    meta = _metadata(cfg, grid, f"gallery:{cfg.gallery}", strategy=",".join(names),
+    meta = _metadata(cfg, report.n_points, f"gallery:{cfg.gallery}", strategy=",".join(names),
                      snr_db=cfg.snr_db)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -602,7 +614,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         "ok",
         "command=sweep",
         f"source=gallery:{cfg.gallery}",
-        f"n={grid.n_points}",
+        f"n={report.n_points}",
         f"levels={len(levels)}",
         f"strategies={','.join(names)}",
         f"failed_cells={failed}",

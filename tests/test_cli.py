@@ -524,6 +524,23 @@ def test_select_rejects_manual_strategy(tmp_path, capsys):
     assert "manual" in capsys.readouterr().err
 
 
+def test_select_repeated_strategy_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("select", "--gallery", "f1", "--n", "21", "--snr-db", "20",
+                   "--strategy", "gcv,gcv", "--output-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == "error: config-error: --strategy names 'gcv' more than once\n"
+    assert not out.exists()
+
+
+def test_select_all_with_a_named_strategy_runs_each_once(tmp_path, capsys):
+    assert run_cli("select", "--gallery", "f1", "--n", "21", "--snr-db", "20",
+                   "--strategy", "all,gcv", "--output-dir", str(tmp_path)) == 0
+    fields = [part.split("=")[0] for part in capsys.readouterr().out.split()]
+    assert [f for f in fields if f.startswith("lambda_")] == [
+        "lambda_morozov", "lambda_lcurve", "lambda_gcv", "lambda_oracle"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -571,6 +588,25 @@ def test_sweep_emit_curves(tmp_path, capsys):
         assert header == ["lambda", "l2_error", "uniform_error"]
         assert len(rows) == 40
         assert meta["snr_db"] == f"{tag}.0"
+
+
+def test_sweep_repeated_level_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "20,10,20",
+                   "--strategy", "gcv", "--emit-curves", "--output-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == "error: config-error: --snr-db names the level 20.0 more than once\n"
+    assert not out.exists()
+
+
+def test_sweep_library_value_error_is_config_error(tmp_path, capsys):
+    # sweep itself refuses the evaluation grid; main reports its ValueError
+    code = run_cli("sweep", "--gallery", "f1", "--n", "1001", "--snr-db", "20",
+                   "--eval-points", "1000", "--strategy", "gcv", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config-error: degree 500 too high for 1000 evaluation points")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_requires_gallery_and_levels(tmp_path, capsys):
