@@ -35,7 +35,9 @@ Then ``commands`` runs the first 6 commands of each benchmark workload (the
 command lists of ``perfbench/workloads.py``, seed 1) in this process and
 reports the mean ``ms`` per command and the part of it spent in
 ``cli._write_csv`` (``write_csv_ms``), which the benchmark's traces do not
-wrap.  Large N gets fewer repeats, and each call runs once untimed first.
+wrap.  With ``--src`` each command runs on both trees back to back, and its
+``ratio`` is the median of the per-command ratios, so one slow call does
+not set it.  Large N gets fewer repeats, and each call runs once untimed first.
 
 ``--src`` names a second source tree.  Its ``trigreg`` is imported as a
 second package, ``other_trigreg``, beside this checkout's, and every timed
@@ -137,7 +139,13 @@ def layer_calls(tree, noisy, eps_wnorm: float, dense, samples: str, table: str) 
         noisy, tree.make_grid(n), degree, tree.laplace_penalty(degree), params.lambdas
     )
     path._sums  # cached from here on: the selectors below then time what follows the scan
-    truth, spectrum = tree.uniform_projection(dense, degree), np.fft.rfft(dense)
+    # the oracle's truth: the (rfft, K) pair where grid.uniform_rfft exists, and on
+    # an older tree (one --src may name) the (coefficients, remainder) pair it read
+    if hasattr(tree.grid, "uniform_rfft"):
+        truth = tree.uniform_rfft(dense)
+    else:
+        truth = tree.uniform_projection(dense, degree)
+    spectrum = np.fft.rfft(dense)
     alpha = path.alpha(strategies["morozov"].run(path, params, noise_norm=eps_wnorm).chosen_lambda)
     x, values = tree.uniform_eval_points(n), tree.uniform_synthesis(alpha, n)
     coefficients = [*tree.mode_layout(degree), alpha, path.coeffs]
@@ -228,6 +236,8 @@ def command_entries(trees, workdir: str) -> dict:
                 times = _alternate(calls, COMMANDS)
             result[name] = _entry([{"ms": statistics.mean(ms), "write_csv_ms": total / COMMANDS}
                                    for ms, total in zip(times, spent)])
+            if len(trees) > 1:
+                result[name]["ratio"] = round(statistics.median(a / b for a, b in zip(*times)), 4)
     finally:
         for tree, writer in zip(trees, writers):
             tree.cli._write_csv = writer

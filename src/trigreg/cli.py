@@ -40,7 +40,7 @@ from .grid import (
     make_grid,
     mode_layout,
     uniform_eval_points,
-    uniform_projection,
+    uniform_rfft,
     uniform_synthesis,
 )
 from .penalty import _require_nonnegative, _require_positive, laplace_penalty
@@ -436,8 +436,7 @@ def _scan(cfg: argparse.Namespace) -> _Scan:
         noise_norm = realization.eps_wnorm
     inputs = {"noise_norm": noise_norm, "truth": None}
     if func is not None and "oracle" in names:
-        truth = np.asarray(func(uniform_eval_points(cfg.eval_points)), dtype=float)
-        inputs["truth"] = uniform_projection(truth, degree)
+        inputs["truth"] = uniform_rfft(func(uniform_eval_points(cfg.eval_points)))
     strategies = [name for name in names if name in STRATEGIES]
     missing = {}
     for name in strategies:

@@ -25,10 +25,11 @@ Gallery conventions
 
 Sweep errors
 ------------
-Errors are measured on the K-point evaluation grid
-``uniform_eval_points(K)``, K >= 2L + 1: the L2 curve by Parseval on that
-grid (:meth:`~trigreg.selection.RegularizationPath.l2_error`), the uniform
-error max |p_lam - f| in its rfft domain, on every usable core
+Errors are measured on the K-point evaluation grid ``uniform_eval_points(K)``,
+any K, from the spectrum of p_lam - f against the truth's one rfft
+(:meth:`~trigreg.selection.RegularizationPath.error_head`): the L2 curve by
+Parseval (:meth:`~trigreg.selection.RegularizationPath.l2_error`), the
+uniform error by one irfft per lambda, on every usable core
 (:func:`uniform_error_curve`).
 """
 
@@ -43,12 +44,11 @@ import numpy as np
 from .grid import (
     TWO_PI,
     FourierCoefficients,
-    _projection_spectrum,
     analyze,
     make_grid,
     mode_layout,
     uniform_eval_points,
-    uniform_spectrum,
+    uniform_rfft,
 )
 from .penalty import laplace_penalty
 from .selection import (
@@ -303,12 +303,10 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
     """Uniform error max |p_lam - f| over ``uniform_eval_points(K)`` for each lambda.
 
     ``p_lam`` is the solution of ``path`` at each of ``lambdas`` (a 1-d
-    array), ``truth_spectrum`` is rfft(f) on the K = ``n_points`` points,
-    and K >= 2L + 1, so bin ell of :func:`~trigreg.grid.uniform_spectrum`
-    holds frequency ell alone and the solve scales it by the path's shrink
-    factor s of that frequency (:meth:`RegularizationPath.factors`).  The
-    spectrum of p_lam - f is therefore that scaled head minus the truth's
-    head, then the truth's negated tail.
+    array), and (``truth_spectrum``, ``n_points``) is the
+    :func:`~trigreg.grid.uniform_rfft` pair of f on K points, any K.  The
+    spectrum of p_lam - f is the path's :meth:`RegularizationPath.error_head`,
+    then the truth's negated tail.
 
     The lambdas go in blocks to one worker per usable core (at most one per
     16 lambdas), dealt out in turn by start index; the calling thread is
@@ -319,8 +317,7 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
     16 lambdas in flight, and no (T, K) array is formed.  The result is
     bitwise the same for any core count.
     """
-    degree = path.coeffs.size // 2
-    base = uniform_spectrum(path.coeffs, n_points)[: degree + 1]
+    size, write = path.error_head(truth_spectrum, n_points)
     errors = np.empty(len(lambdas))
     workers = _worker_count(len(lambdas))
     width = -(-_SYNTHESIS_BLOCK // workers)  # lambdas per irfft call
@@ -328,13 +325,11 @@ def uniform_error_curve(path: RegularizationPath, lambdas, truth_spectrum: np.nd
 
     def fill(worker):
         spectra = np.empty((min(width, len(lambdas)), truth_spectrum.size), dtype=complex)
-        np.negative(truth_spectrum[degree + 1 :], out=spectra[:, degree + 1 :])
+        np.negative(truth_spectrum[size:], out=spectra[:, size:])
         for start in range(worker * width, len(lambdas), stride):
             lam = lambdas[start : start + width]
             spec = spectra[: lam.size]
-            head = spec[:, : degree + 1]
-            np.multiply(base, path.factors(lam)[0], out=head)
-            head -= truth_spectrum[: degree + 1]
+            write(path.factors(lam)[0], spec)
             diff = np.fft.irfft(spec, n=n_points)
             errors[start : start + lam.size] = np.abs(diff, out=diff).max(axis=-1)
 
@@ -383,8 +378,7 @@ def sweep(
 
     # The L2 curves come from the closed-form path (Parseval on the evaluation
     # grid); the uniform errors from p_lam - f in the rfft domain of that grid.
-    truth = np.asarray(func(uniform_eval_points(eval_points)), dtype=float)
-    projected_truth, truth_spectrum = _projection_spectrum(truth, degree)
+    truth = uniform_rfft(func(uniform_eval_points(eval_points)))
 
     rows = []
     for i, snr_db in enumerate(snr_levels):
@@ -393,16 +387,16 @@ def sweep(
         path = RegularizationPath.from_samples(realization.noisy, grid, degree, pen, params.lambdas)
         reports, messages = run_strategies(
             path, params, strategies,
-            noise_norm=realization.eps_wnorm, truth=projected_truth, refine=False,
+            noise_norm=realization.eps_wnorm, truth=truth, refine=False,
         )
-        l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*projected_truth)
+        l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*truth)
 
         # every grid lambda for the curves, else the chosen ones (grid values:
         # no refinement here)
         columns = range(params.t_max) if emit_curves else sorted(
             {report.chosen_index for report in reports.values()}
         )
-        uniform = uniform_error_curve(path, params.lambdas[list(columns)], truth_spectrum, eval_points)
+        uniform = uniform_error_curve(path, params.lambdas[list(columns)], *truth)
         uniform_at = dict(zip(columns, uniform.tolist()))
 
         # a failed strategy keeps None entries

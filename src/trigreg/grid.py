@@ -14,14 +14,15 @@ DFT: the nodes start at -pi, so cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/N)
 and likewise for sin, and each coefficient is a signed real or imaginary part
 of one rfft bin (Cooley and Tukey, 1965).  :func:`uniform_projection` is the
 package's one projection routine: a single rfft gives the coefficients and
-the squared remainder ||f - P_L f||**2, in O(N log N) time and O(N) memory,
-on the sample grid (:func:`analyze` and the regularization path) and on the
-K-point evaluation grid (the oracle error curves) alike.
+the squared remainder ||f - P_L f||**2 of samples, in O(N log N) time and
+O(N) memory (:func:`analyze` and the regularization path).
 :func:`uniform_synthesis` is its inverse, one irfft from coefficients to the
 values on any K-point equispaced grid (dense evaluation, node residuals),
 exact for every K >= 1; the half-spectrum it transforms is
-:func:`uniform_spectrum`, the one definition of the alias fold and of the
-bin weights, which the sweep's uniform errors also start from.  Both
+:func:`uniform_spectrum`.  :func:`_fold` is the one alias fold, the map of
+per-frequency modes onto the K//2 + 1 rfft bins for any K: it builds that
+spectrum, and the error curves against a known function read p_lam - f
+through it on the rfft of that function, :func:`uniform_rfft`.  Both
 directions take the (-1)**ell phase and the basis normalization from
 :func:`_mode_factors`.  A fixed numpy build
 fixes the FFT's summation order, so results are reproducible run to run, and
@@ -55,6 +56,7 @@ __all__ = [
     "weighted_norm",
     "analyze",
     "synthesize",
+    "uniform_rfft",
     "uniform_projection",
     "uniform_spectrum",
     "uniform_synthesis",
@@ -257,9 +259,20 @@ def _mode_factors(degree: int) -> np.ndarray:
     normalization 1/sqrt(2*pi) (ell = 0) or 1/sqrt(pi), for the one rfft of
     :func:`uniform_projection` and the spectrum of :func:`uniform_spectrum`.
     """
-    factors = np.where(np.arange(degree + 1) % 2 == 0, 1.0, -1.0) / np.sqrt(np.pi)
+    factors = np.full(degree + 1, 1.0 / np.sqrt(np.pi))
+    factors[1::2] *= -1.0
     factors[0] = 1.0 / np.sqrt(TWO_PI)
     return factors
+
+
+def uniform_rfft(values) -> tuple[np.ndarray, int]:
+    """(rfft of the values, K) of a finite vector sampled at ``uniform_eval_points(K)``:
+    the truth every error curve reads p_lam - f against, at any K."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-d vector of samples, got shape {values.shape}")
+    _require_finite(values, "values")
+    return np.fft.rfft(values), values.size
 
 
 def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
@@ -277,24 +290,14 @@ def uniform_projection(values, degree: int) -> tuple[np.ndarray, float]:
     ||coefficients||**2, which cancels catastrophically when the projection
     captures nearly everything.
     """
-    return _projection_spectrum(values, degree)[0]
-
-
-def _projection_spectrum(values, degree: int):
-    """(:func:`uniform_projection` of the values, the rfft of the values it comes from)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-d vector of samples, got shape {values.shape}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    k = values.size
+    spec, k = uniform_rfft(values)
     if 2 * degree + 1 > k:
         raise ValueError(
             f"degree {degree} too high for {k} evaluation points: need "
             f"2*degree + 1 <= points"
         )
-    _require_finite(values, "values")
-    spec = np.fft.rfft(values)
     modes = spec[: degree + 1] * (TWO_PI / k * _mode_factors(degree))
     coeffs = np.empty(2 * degree + 1)
     coeffs[0] = modes[0].real
@@ -303,23 +306,19 @@ def _projection_spectrum(values, degree: int):
     # bins above the degree stand for themselves and their mirrors, bar an even K's Nyquist bin
     tail = spec[degree + 1 : (k + 1) // 2]
     power = 2.0 * np.vdot(tail, tail).real + (abs(spec[-1]) ** 2 if k % 2 == 0 else 0.0)
-    return (coeffs, TWO_PI / k**2 * float(power)), spec
+    return coeffs, TWO_PI / k**2 * float(power)
 
 
-def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:
-    """Half-spectrum on ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
-
-    ``coeffs`` has shape (..., 2*degree + 1) in canonical order; the result
-    has shape (..., K//2 + 1), and its irfft with n=K along the last axis is
-    the polynomials' values (:func:`uniform_synthesis`).  It holds for every
-    K >= 1: on K points mode ell takes the values of frequency ell mod K,
-    and a frequency above K/2 those of its mirror K minus it with the sine
-    negated, so modes above K/2 are folded onto their alias rather than
-    dropped.  The constant bin and, for even K, the Nyquist bin are real and
-    counted once by the irfft, so they carry twice the weight of the others.
-    When K >= 2*degree + 1, nothing folds and bin ell holds frequency ell
-    alone.
-    """
+def _alias(coeffs, n_points: int):
+    """(modes, runs) of the alias fold of coefficients (..., 2*degree + 1) onto
+    the rfft bins of ``uniform_eval_points(K)``.  Mode ell adds
+    Re(m_ell * exp(2*pi*i*ell*j/K)) at point j, m_ell = g_ell * (cosine - i *
+    sine coefficient): the values of r = ell mod K or, for r > K/2, of K - r
+    with the sine negated.  So ``modes`` is K/2 * m_ell (irfft divides by K
+    and counts a bin twice), conjugated when mirrored, and twice its real
+    part on the constant and an even K's Nyquist bin (real, counted once).
+    ``runs`` pair ell slices with rising or (mirrored) falling bin slices;
+    the first puts 0..h-1 on bins 0..h-1, h = min(degree, K//2) + 1."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim < 1 or coeffs.shape[-1] % 2 == 0:
         raise ValueError(
@@ -329,23 +328,47 @@ def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"need at least one evaluation point, got {n_points}")
     degree = coeffs.shape[-1] // 2
-    # Mode ell adds Re(m_ell * exp(2*pi*i*ell*j/K)) at point j, with m_ell =
-    # g_ell * (cosine coefficient - i * sine coefficient); irfft divides by K
-    # and counts the complex bins twice, so they take K/2 * m_ell.
     modes = np.empty(coeffs.shape[:-1] + (degree + 1,), dtype=complex)
     modes[..., 0] = coeffs[..., 0]
     modes[..., 1:].real = coeffs[..., 1::2]
     modes[..., 1:].imag = -coeffs[..., 2::2]
     modes *= 0.5 * k * _mode_factors(degree)
-    bins = np.arange(degree + 1) % k
-    mirrored = 2 * bins > k
-    bins[mirrored] = k - bins[mirrored]
-    modes[..., mirrored] = np.conj(modes[..., mirrored])
-    spec = np.zeros(coeffs.shape[:-1] + (k // 2 + 1,), dtype=complex)
-    np.add.at(spec, (..., bins), modes)
-    spec[..., 0] *= 2.0
-    if k % 2 == 0:
-        spec[..., -1] *= 2.0
+    runs, half = [], k // 2 + 1
+    for start in range(0, degree + 1, k):  # each period: rising to bin K//2, then falling mirrored
+        rise, fall = min(degree + 1 - start, half), min(degree + 1 - start, k) - half
+        runs.append((slice(start, start + rise), slice(0, rise)))
+        if fall > 0:
+            ells = slice(start + half, start + half + fall)
+            np.conjugate(modes[..., ells], out=modes[..., ells])
+            runs.append((ells, slice(k - half, k - half - fall, -1)))
+    for own in (0, k // 2) if k % 2 == 0 else (0,):  # the bins that are their own mirror
+        modes[..., own::k] = 2.0 * modes[..., own::k].real
+    return modes, runs
+
+
+def _fold(modes, runs, shrink, out) -> None:
+    """Write into out[..., :h] the alias fold (:func:`_alias`) of the modes, each
+    scaled by its real ``shrink`` (..., degree + 1): the one map of modes onto
+    rfft bins.  Bins sum in increasing ell: the first run stored, then added."""
+    (ells, bins), *rest = runs
+    np.multiply(modes[..., ells], shrink[..., ells], out=out[..., bins])
+    for ells, bins in rest:
+        out[..., bins] += modes[..., ells] * shrink[..., ells]
+
+
+def uniform_spectrum(coeffs, n_points: int) -> np.ndarray:
+    """Half-spectrum on ``uniform_eval_points(K)`` of the polynomials with the given coefficients.
+
+    ``coeffs`` has shape (..., 2*degree + 1) in canonical order; the result,
+    shape (..., K//2 + 1), is the rfft of their values, which its irfft with
+    n=K gives back (:func:`uniform_synthesis`), for every K >= 1: modes above
+    K/2 fold onto their alias (:func:`_fold`), and the constant bin and an
+    even K's Nyquist bin are real.  When K >= 2*degree + 1 nothing folds.
+    """
+    modes, runs = _alias(coeffs, n_points)
+    spec = np.zeros(modes.shape[:-1] + (int(n_points) // 2 + 1,), dtype=complex)
+    _fold(modes, runs, np.ones(modes.shape[-1]), spec)
+    spec += 0.0  # a -0.0 the first run stored becomes 0.0: zero data synthesizes to 0.0
     return spec
 
 

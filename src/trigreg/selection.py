@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (TrapezoidalGrid, _validated_samples, mode_layout, uniform_eval_points,
-                   uniform_projection)
+from .grid import (TWO_PI, TrapezoidalGrid, _alias, _fold, _validated_samples, mode_layout,
+                   uniform_eval_points, uniform_projection, uniform_rfft)
 from .penalty import PenaltySequence, _require_nonnegative, _require_positive
 
 __all__ = [
@@ -229,16 +229,19 @@ class RegularizationPath:
             weight[shrink == 0] = 1.0  # inf * 0; s = 1/(1 + x) > 0 for every finite x
         return shrink, weight
 
+    @cached_property
+    def _step(self) -> int:  # lambdas per block of _blocks
+        return max(1, _BLOCK_ELEMENTS // self._frequencies[0].size)
+
     def _blocks(self):
         """Yield (slice, s, w) over blocks of the path's lambdas: (block, L+1)
         factors of at most _BLOCK_ELEMENTS entries in one cache-sized pair of
         buffers that every block overwrites, where whole-path ones would
         fault in fresh pages."""
-        step = max(1, _BLOCK_ELEMENTS // self._frequencies[0].size)
-        buffers = np.empty((2, min(step, self.lambdas.size), self._frequencies[0].size))
+        buffers = np.empty((2, min(self._step, self.lambdas.size), self._frequencies[0].size))
         overflows = np.max(self.lambdas, initial=0.0) > self._lam_limit
-        for start in range(0, self.lambdas.size, step):
-            part = slice(start, start + step)
+        for start in range(0, self.lambdas.size, self._step):
+            part = slice(start, start + self._step)
             lam = self.lambdas[part]
             yield (part, *self._factors(lam, buffers[:, : lam.size], overflows))
 
@@ -317,28 +320,39 @@ class RegularizationPath:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.r0 + fit) / ((self.n_points - self.coeffs.size) + trace) ** 2
 
-    def l2_error(self, truth_coeffs, remainder: float):
-        """Discretized L2 error sqrt(||alpha - g||**2 + r_K) against a known function.
+    def error_head(self, truth_spectrum, n_points: int):
+        """(h, write) against f's :func:`~trigreg.grid.uniform_rfft` pair: p_lam
+        reaches the first h = min(L, K//2) + 1 bins, and ``write(s, out)``
+        writes there the fold of its modes shrunk by the :meth:`factors` s of
+        a block of lambdas, minus f's bins; f's negated tail completes p_lam - f."""
+        modes, runs = _alias(self.coeffs, n_points)
+        size = runs[0][1].stop
 
-        ``truth_coeffs`` (g) and ``remainder`` (r_K) come from
-        :func:`~trigreg.grid.uniform_projection` of the function on the
-        K-point evaluation grid.  By Parseval on that grid this equals
-        sqrt((2*pi/K) * sum (p - f)**2) whenever K >= 2L + 1.  The squares
-        (s*c - g)**2 are summed per frequency pair, never expanded (that cancels).
-        """
-        pairs, truth = _paired(self.coeffs), _paired(np.asarray(truth_coeffs, dtype=float))
-        errors = np.empty(np.size(self.lambdas))
-        for part, shrink, cosine in self._blocks():  # w's buffer takes the cosine squares
-            np.multiply(shrink, pairs[0], out=cosine)
-            cosine -= truth[0]
-            cosine *= cosine
-            shrink *= pairs[1]
-            shrink -= truth[1]
-            shrink *= shrink
-            shrink += cosine
-            errors[part] = shrink.sum(axis=1)
-        errors += remainder
-        return np.sqrt(errors, out=errors)
+        def write(shrink, out):
+            _fold(modes, runs, shrink, out)
+            out[..., :size] -= truth_spectrum[:size]
+
+        return size, write
+
+    def l2_error(self, truth_spectrum, n_points: int):
+        """Discretized L2 error sqrt((2*pi/K) * sum (p_lam - f)**2) over
+        ``uniform_eval_points(K)``, any K, against f's
+        :func:`~trigreg.grid.uniform_rfft` pair: by Parseval, 2*pi/K**2 times
+        the weighted energy of the :meth:`error_head` and of f's tail.  The
+        squares are of differences, never expanded (that cancels)."""
+        k = int(n_points)
+        size, write = self.error_head(truth_spectrum, k)
+        # a bin counts for its mirror too, unless it is its own (constant, even K's Nyquist)
+        weights = np.where(2 * np.arange(k // 2 + 1) % k == 0, 1.0, 2.0)
+        tail = truth_spectrum[size:]
+        errors = np.full(self.lambdas.size, weights[size:] @ (tail.real**2 + tail.imag**2))
+        pair_weights = np.repeat(weights[:size], 2)  # real and imaginary parts
+        head = np.empty((min(self._step, self.lambdas.size), size), dtype=complex)
+        for part, shrink, _ in self._blocks():
+            write(shrink, head[: shrink.shape[0]])
+            squares = head[: shrink.shape[0]].view(float)
+            errors[part] += np.multiply(squares, squares, out=squares) @ pair_weights
+        return np.sqrt(errors * (TWO_PI / k**2))
 
     def discrepancy_bounds(self) -> tuple[float, float]:
         """Morozov's noise bounds sqrt(J(0)) = sqrt(r0) and sqrt(r0 + sum_{ell>=1} e),
@@ -515,16 +529,16 @@ def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
     """Benchmark selector: minimize the true L2 error against a known function.
 
     The error is the discretized L2 distance sqrt((2*pi/K) * sum (p - f)**2)
-    on a K-point equidistant evaluation grid (K = ``eval_points``), which
-    must resolve the approximant: K >= 2*degree + 1.  It is evaluated by
-    Parseval on that grid from one FFT of the function (see
-    :meth:`RegularizationPath.l2_error`), with no dense evaluation.
+    on a K-point equidistant evaluation grid, K = ``eval_points`` >= 1000,
+    also below 2*degree + 1.  It is evaluated by Parseval on that grid from
+    one FFT of the function (see :meth:`RegularizationPath.l2_error`), with
+    no dense evaluation.
     """
     if eval_points < 1000:
         raise ValueError(f"eval_points must be >= 1000, got {eval_points}")
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
-    truth = np.asarray(true_function(uniform_eval_points(eval_points)), dtype=float)
-    return STRATEGIES["oracle"].run(path, params, truth=uniform_projection(truth, degree))
+    truth = uniform_rfft(true_function(uniform_eval_points(eval_points)))
+    return STRATEGIES["oracle"].run(path, params, truth=truth)
 
 
 def _run_oracle(path, params, truth=None, **_):
@@ -555,7 +569,7 @@ def run_strategies(path: RegularizationPath, params: ParameterGrid, names, **inp
     """Run the named strategies on one shared path, in the given order.
 
     ``inputs`` go to every runner: ``noise_norm`` and ``refine`` (Morozov)
-    and ``truth``, the oracle's :func:`~trigreg.grid.uniform_projection` of
+    and ``truth``, the oracle's :func:`~trigreg.grid.uniform_rfft` pair of
     the true function on the evaluation grid.  Returns ``(reports,
     failures)``: the report of each strategy that chose a lambda, and the
     message of each that raised a :class:`SelectionError`.

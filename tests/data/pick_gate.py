@@ -43,11 +43,10 @@ def compute_cases() -> dict:
     cases = {}
     for name in tr.gallery_names():
         func = tr.gallery(name)
-        truth_values = func(tr.uniform_eval_points(EVAL_POINTS))
+        truth = tr.uniform_rfft(func(tr.uniform_eval_points(EVAL_POINTS)))
         for n in SIZES:
             grid, degree = tr.make_grid(n), (n - 1) // 2
             penalty = tr.laplace_penalty(degree)
-            truth = tr.uniform_projection(truth_values, degree)
             clean = func(grid.nodes)
             for snr_db in LEVELS:
                 for seed in SEEDS:

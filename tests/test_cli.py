@@ -600,12 +600,12 @@ def test_sweep_repeated_level_is_config_error(tmp_path, capsys):
 
 
 def test_sweep_library_value_error_is_config_error(tmp_path, capsys):
-    # sweep itself refuses the evaluation grid; main reports its ValueError
+    # sweep itself refuses the penalty; main reports its ValueError
     code = run_cli("sweep", "--gallery", "f1", "--n", "1001", "--snr-db", "20",
-                   "--eval-points", "1000", "--strategy", "gcv", "--output-dir", str(tmp_path))
+                   "--s", "400", "--strategy", "gcv", "--output-dir", str(tmp_path))
     assert code == 2
     assert capsys.readouterr().err.startswith(
-        "error: config-error: degree 500 too high for 1000 evaluation points")
+        "error: config-error: smoothness exponent s = 400.0 is too steep for degree 500")
     assert list(tmp_path.iterdir()) == []
 
 

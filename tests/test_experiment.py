@@ -84,7 +84,7 @@ def test_error_metrics_on_zero_approximant():
     assert ref.uniform_error(zero, np.sin) == pytest.approx(1.0, rel=1e-6)
     path = tr.RegularizationPath.from_samples(np.zeros(7), g, 3, tr.laplace_penalty(3), np.zeros(1))
     sine = np.sin(tr.uniform_eval_points(10000))
-    assert path.l2_error(*tr.uniform_projection(sine, 3))[0] == pytest.approx(math.sqrt(np.pi), rel=1e-6)
+    assert path.l2_error(*tr.uniform_rfft(sine))[0] == pytest.approx(math.sqrt(np.pi), rel=1e-6)
     assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(sine), 10000)[0] == pytest.approx(
         1.0, rel=1e-6
     )
@@ -97,12 +97,30 @@ def test_error_metrics_validate_resolution():
                          np.sin, eval_points=999)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 60, 77, 1000])
+def test_error_curves_read_any_eval_grid(k):
+    """Below K = 2L + 1 = 101 the modes fold onto their alias (even K onto a
+    Nyquist bin too); both curves equal a basis-matrix evaluation of p - f."""
+    g = tr.make_grid(101)
+    func = tr.gallery("f2")
+    noisy = tr.add_noise_snr(func(g.nodes), 20.0, 5).noisy
+    lambdas = tr.parameter_grid(q=0.5, t_max=20).lambdas
+    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    x = tr.uniform_eval_points(k)
+    diff = tr.basis_matrix(x, 50) @ path.alpha() - func(x)[:, None]
+    truth = tr.uniform_rfft(func(x))
+    assert_allclose(path.l2_error(*truth), np.sqrt(2 * np.pi / k * np.sum(diff**2, axis=0)),
+                    rtol=0, atol=1e-12)
+    assert_allclose(tr.uniform_error_curve(path, lambdas, *truth), np.abs(diff).max(axis=0),
+                    rtol=0, atol=1e-12)
+
+
 def test_perfect_reconstruction_has_tiny_error():
     g = tr.make_grid(31)
     f = tr.gallery("f1")
     path = tr.RegularizationPath.from_samples(f(g.nodes), g, 15, tr.laplace_penalty(15), np.zeros(1))
     truth = f(tr.uniform_eval_points(10000))
-    assert path.l2_error(*tr.uniform_projection(truth, 15))[0] < 1e-12
+    assert path.l2_error(*tr.uniform_rfft(truth))[0] < 1e-12
     assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(truth), 10000)[0] < 1e-12
 
 
@@ -320,9 +338,9 @@ def test_sweep_uniform_at_chosen_equals_the_curve(name):
 
 
 def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
-    """One rfft per row (its samples) and one of the truth, which gives the
-    truth's coefficients, remainder and spectrum; the curves equal those
-    built from a separate uniform_projection and rfft."""
+    """One rfft per row (its samples) and one of the truth, whose spectrum
+    both curves read; the curves equal those built from a separate
+    uniform_rfft."""
     rfft, calls = np.fft.rfft, []
 
     def counted(*args, **kwargs):
@@ -335,11 +353,11 @@ def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
     assert sorted(calls) == [101] * len(levels) + [10000]
     monkeypatch.undo()
     truth = tr.gallery("f1")(tr.uniform_eval_points(10000))
-    projected, spectrum = tr.uniform_projection(truth, rep.degree), np.fft.rfft(truth)
+    spectrum, k = tr.uniform_rfft(truth)
     for row in rep.rows:
         path = _sweep_path(tr.gallery("f1"), rep, row)
-        assert np.array_equal(row.curve[0], path.l2_error(*projected))
-        assert np.array_equal(row.curve[1], tr.uniform_error_curve(path, path.lambdas, spectrum, 10000))
+        assert np.array_equal(row.curve[0], path.l2_error(spectrum, k))
+        assert np.array_equal(row.curve[1], tr.uniform_error_curve(path, path.lambdas, spectrum, k))
 
 
 def test_sweep_unknown_strategy_rejected():

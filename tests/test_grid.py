@@ -350,6 +350,17 @@ def test_uniform_spectrum_is_the_rfft_of_the_values(degree, k):
     assert not np.any(spectrum[degree + 1:])
 
 
+@pytest.mark.parametrize("degree, k", [(50, 7), (50, 8), (7, 4), (20, 9), (20, 10), (3, 1), (3, 2)])
+def test_folded_uniform_spectrum_is_the_rfft_of_its_synthesis(degree, k):
+    # modes folded onto the constant bin or an even K's Nyquist bin leave
+    # those bins real, so Parseval holds on the spectrum as on the values
+    coeffs = np.random.default_rng(degree * k).standard_normal((3, 2 * degree + 1))
+    spectrum = tr.uniform_spectrum(coeffs, k)
+    assert not np.any(spectrum[:, 0].imag)
+    assert k % 2 or not np.any(spectrum[:, -1].imag)
+    assert_allclose(spectrum, np.fft.rfft(tr.uniform_synthesis(coeffs, k)), rtol=0, atol=1e-12 * k)
+
+
 def test_uniform_synthesis_validates_shape_and_points():
     with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
         tr.uniform_synthesis(np.ones(4), 10)

@@ -144,7 +144,8 @@ def test_path_scan_matches_whole_path_formulas(n_points):
     pen = tr.laplace_penalty(degree)
     lambdas = tr.parameter_grid(t_max=397).lambdas
     path = tr.RegularizationPath.from_samples(samples, g, degree, pen, lambdas)
-    truth, remainder = tr.uniform_projection(tr.gallery("square")(tr.uniform_eval_points(10000)), degree)
+    square = tr.gallery("square")(tr.uniform_eval_points(10000))
+    truth, remainder = tr.uniform_projection(square, degree)
 
     c, beta_sq = path.coeffs, pen.beta**2
     lam_bsq = np.outer(beta_sq, lambdas)
@@ -156,7 +157,7 @@ def test_path_scan_matches_whole_path_formulas(n_points):
     assert_allclose(path.penalty_sq_prime(), -2.0 * (beta_sq**2 * c**2) @ shrink**3, rtol=rtol)
     assert_allclose(path.gcv(), c**2 @ weight**2 / weight.sum(axis=0) ** 2, rtol=rtol)
     dense_l2 = np.sqrt(np.sum((shrink * c[:, None] - truth[:, None]) ** 2, axis=0) + remainder)
-    assert_allclose(path.l2_error(truth, remainder), dense_l2, rtol=rtol)
+    assert_allclose(path.l2_error(*tr.uniform_rfft(square)), dense_l2, rtol=rtol)
     assert_allclose(path.alpha(), shrink * c[:, None], rtol=0, atol=0)
 
 
@@ -476,7 +477,8 @@ def test_selectors_refuse_a_non_finite_objective():
         tr.select_gcv(noisy, g, 50, tr.laplace_penalty(50), deep)
     params = tr.parameter_grid(t_max=10)
     path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), params.lambdas)
-    reports, failures = tr.run_strategies(path, params, ["oracle"], truth=(path.coeffs, math.nan))
+    truth = (np.full(501, complex(math.nan)), 1000)
+    reports, failures = tr.run_strategies(path, params, ["oracle"], truth=truth)
     assert reports == {}
     assert failures["oracle"] == "oracle is inapplicable: the L2 error is not finite at 10 of 10 grid lambdas"
 
@@ -599,12 +601,25 @@ def test_oracle_curve_matches_dense_l2_error(eval_points):
         assert rep.l2_error[k] == pytest.approx(dense, rel=1e-10)
 
 
-def test_oracle_needs_eval_grid_that_resolves_the_degree():
+@pytest.mark.parametrize("eval_points", [1000, 1001])
+def test_oracle_reads_an_eval_grid_below_the_degree(eval_points):
+    """K < 2L + 1 = 1201: the approximant's modes fold onto their alias.  The
+    L2 curve equals the dense metric at every lambda, the oracle picks that
+    curve's argmin, and the uniform curve equals the dense maximum."""
     g = tr.make_grid(1201)
-    samples = np.cos(g.nodes)
-    with pytest.raises(ValueError, match="2\\*degree \\+ 1"):
-        tr.select_oracle(samples, g, 600, tr.laplace_penalty(600), tr.parameter_grid(t_max=5),
-                         np.cos, eval_points=1000)
+    f = tr.gallery("f2")
+    noisy = tr.add_noise_snr(f(g.nodes), 30.0, 3).noisy
+    pen = tr.laplace_penalty(600)
+    params = tr.parameter_grid(q=0.5, t_max=40)
+    rep = tr.select_oracle(noisy, g, 600, pen, params, f, eval_points=eval_points)
+    approximants = [tr.solve(noisy, g, 600, lam, pen) for lam in params.lambdas]
+    dense = np.array([ref.l2_error(approx, f, eval_points) for approx in approximants])
+    assert_allclose(rep.l2_error, dense, rtol=1e-12)
+    assert rep.chosen_index == int(np.argmin(dense))
+    path = tr.RegularizationPath.from_samples(noisy, g, 600, pen, params.lambdas)
+    truth = tr.uniform_rfft(f(tr.uniform_eval_points(eval_points)))
+    expected = [ref.uniform_error(approx, f, eval_points) for approx in approximants]
+    assert_allclose(tr.uniform_error_curve(path, params.lambdas, *truth), expected, rtol=0, atol=1e-12)
 
 
 def test_selection_rejects_constant_form_penalty_everywhere(single_mode):
