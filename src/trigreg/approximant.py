@@ -12,12 +12,11 @@ decouples mode by mode and has the closed-form solution
 lambda = 0 reproduces plain discrete least squares (interpolation when
 N = 2*degree + 1); lambda > 0 shrinks every penalized mode toward zero.
 :func:`solve` reads that shrinkage from the one-lambda
-:class:`~trigreg.selection.RegularizationPath` of the samples.
+:class:`~trigreg.selection.RegularizationPath` of the samples and returns
+the polynomial as callable :class:`~trigreg.grid.FourierCoefficients`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .penalty import PenaltySequence, _require_nonnegative
 from .selection import RegularizationPath
 
 __all__ = [
-    "RegularizedApproximant",
     "solve",
     "evaluate",
     "condition_number",
@@ -35,47 +33,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RegularizedApproximant:
-    """A solved approximant: its regularized coefficients ``alpha``.
-
-    ``zero_data`` flags the degenerate case where every discrete Fourier
-    coefficient of the samples vanished (the approximant is identically
-    zero).  Instances are callable.
-    """
-
-    degree: int
-    n_points: int
-    lam: float
-    penalty: PenaltySequence
-    alpha: np.ndarray
-    zero_data: bool
-
-    def __call__(self, points):
-        return evaluate(self, points)
-
-
 def solve(samples, grid: TrapezoidalGrid, degree: int, lam: float,
-          penalty: PenaltySequence) -> RegularizedApproximant:
+          penalty: PenaltySequence) -> FourierCoefficients:
     """Solve the penalized least-squares problem in closed form.
 
     A thin view of :class:`~trigreg.selection.RegularizationPath`: the
     path of the samples over the one lambda ``lam``, and its coefficients
-    there.  Requires lam >= 0, a penalty built for the same degree with zero
-    weight on the constant mode, and 2*degree + 1 <= N.  All-zero
-    coefficient data is allowed but flagged on the result.
+    there, as the polynomial ``FourierCoefficients(degree, alpha, N)``.
+    Requires lam >= 0, a penalty built for the same degree with zero weight
+    on the constant mode and one weight per frequency, and 2*degree + 1 <= N.
     """
     _require_nonnegative(lam)
     lam = float(lam)
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, np.array([lam]))
     alpha = path.alpha(lam)
     alpha.flags.writeable = False
-    return RegularizedApproximant(degree, grid.n_points, lam, penalty, alpha, not np.any(path.coeffs))
+    return FourierCoefficients(degree, alpha, grid.n_points)
 
 
-def evaluate(approx: RegularizedApproximant, points):
-    """Evaluate the approximant at arbitrary angle(s)."""
-    return synthesize(FourierCoefficients(approx.degree, approx.alpha, approx.n_points), points)
+def evaluate(approx: FourierCoefficients, points):
+    """Evaluate the approximant at arbitrary angle(s): :func:`~trigreg.grid.synthesize`."""
+    return synthesize(approx, points)
 
 
 def condition_number(lam: float, penalty: PenaltySequence) -> float:

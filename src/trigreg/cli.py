@@ -47,6 +47,7 @@ from .penalty import _require_nonnegative, _require_positive, laplace_penalty
 from .selection import (
     STRATEGIES,
     RegularizationPath,
+    _require_eval_points,
     parameter_grid,
     run_strategies,
 )
@@ -190,12 +191,11 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
         _require_nonnegative(cfg.lam, "--lambda")
     if cfg.noise_norm is not None:
         _require_nonnegative(cfg.noise_norm, "--noise-norm")
-    if cfg.eval_points < 1000:
-        raise CliError("config-error", f"--eval-points must be >= 1000, got {cfg.eval_points}")
+    _require_nonnegative(cfg.seed, "--seed")
+    _require_eval_points(cfg.eval_points, "--eval-points")
     _require_positive(cfg.s, "--s")
     _require_positive(cfg.zeta0, "--zeta0")
-    if not 0 < cfg.q < 1 or cfg.t_max < 1:
-        raise CliError("config-error", "parameter grid needs zeta0 > 0, 0 < q < 1, t_max >= 1")
+    parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)  # its refusals come before any input is read
     return cfg
 
 
@@ -475,14 +475,12 @@ def _write_diagnostics(outdir: str, meta: dict, run: _Scan) -> str:
     return path
 
 
-def _chosen_entry(report):
+def _chosen_entry(report, noise_norm):
     entry = {"lambda": report.chosen_lambda, "k": report.chosen_index + 1}
     if report.refined:
         entry["refined"] = True
-    if report.assumption_ok is not None:
-        entry["assumption_ok"] = report.assumption_ok
-    if report.noise_norm_used is not None:
-        entry["noise_norm"] = report.noise_norm_used
+    if report.strategy == "morozov":  # a Morozov report means its noise assumption held
+        entry.update(assumption_ok=True, noise_norm=noise_norm)
     return entry
 
 
@@ -536,7 +534,8 @@ def cmd_approximate(cfg: argparse.Namespace) -> int:
 
 def cmd_select(cfg: argparse.Namespace) -> int:
     run = _scan(cfg)
-    chosen = {name: _chosen_entry(report) for name, report in run.reports.items()}
+    noise_norm = run.meta["noise_norm"]
+    chosen = {name: _chosen_entry(report, noise_norm) for name, report in run.reports.items()}
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     diag_path = _write_diagnostics(outdir, run.meta, run)

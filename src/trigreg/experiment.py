@@ -55,6 +55,7 @@ from .selection import (
     STRATEGIES,
     ParameterGrid,
     RegularizationPath,
+    _require_eval_points,
     parameter_grid,
     run_strategies,
 )
@@ -212,10 +213,9 @@ class SweepRow:
 
     All dictionaries are keyed by strategy name (the keys of
     :data:`~trigreg.selection.STRATEGIES`).  A strategy that failed has None
-    entries and an explanatory message.  ``assumption_ok`` tells whether
-    Morozov's noise assumption held (None when Morozov was not run).
-    ``curve`` optionally carries the per-lambda (l2, uniform) error arrays
-    over the parameter grid.
+    entries and an explanatory message; Morozov's is None where its noise
+    assumption failed.  ``curve`` optionally carries the per-lambda (l2,
+    uniform) error arrays over the parameter grid.
     """
 
     snr_db: float
@@ -227,7 +227,6 @@ class SweepRow:
     l2: dict
     uniform: dict
     messages: dict
-    assumption_ok: bool | None
     curve: tuple | None = None
 
 
@@ -361,8 +360,10 @@ def sweep(
     arguments produce an identical report, bit for bit; each row draws its
     noise from an independent stream derived from (seed, row index).  Each
     row analyzes its samples once and runs every strategy on that one path
-    (:func:`~trigreg.selection.run_strategies`).
+    (:func:`~trigreg.selection.run_strategies`).  Errors are measured on
+    K = ``eval_points`` >= 1000 points, as the oracle's are.
     """
+    _require_eval_points(eval_points)
     if isinstance(function, str):
         name = function
         func = gallery(function)
@@ -417,7 +418,6 @@ def sweep(
                 l2=l2_by,
                 uniform=uniform_by,
                 messages=messages,
-                assumption_ok="morozov" in reports if "morozov" in strategies else None,
                 curve=(l2_curve, uniform) if emit_curves else None,
             )
         )

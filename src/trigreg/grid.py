@@ -43,7 +43,6 @@ TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "TWO_PI",
-    "HarmonicIndex",
     "TrapezoidalGrid",
     "FourierCoefficients",
     "reduce_angle",
@@ -78,27 +77,6 @@ def reduce_angle(x):
     return out
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Index (ell, k) of one basis mode: k=1 cosine branch, k=2 sine branch.
-
-    The constant mode is (0, 1); there is no (0, 2).
-    """
-
-    ell: int
-    k: int
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"harmonic degree must be >= 0, got {self.ell}")
-        if self.k not in (1, 2):
-            raise ValueError(
-                f"harmonic branch must be 1 (cosine) or 2 (sine), got {self.k}"
-            )
-        if self.ell == 0 and self.k == 2:
-            raise ValueError("the constant mode has no sine branch: (0, 2) is invalid")
-
-
 def mode_layout(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequency ell and branch k of each of the 2*degree + 1 canonical slots.
 
@@ -114,9 +92,9 @@ def mode_layout(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return ells, branches
 
 
-def harmonic_indices(degree: int) -> list[HarmonicIndex]:
-    """All 2*degree + 1 indices in canonical order (0,1), (1,1), (1,2), ..."""
-    return [HarmonicIndex(ell, k) for ell, k in zip(*(a.tolist() for a in mode_layout(degree)))]
+def harmonic_indices(degree: int) -> list[tuple[int, int]]:
+    """The 2*degree + 1 (ell, k) int pairs of :func:`mode_layout`, in canonical order."""
+    return list(zip(*(a.tolist() for a in mode_layout(degree))))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ power,
 which grows with frequency and vanishes on the constant mode -- the shape the
 solver, the selection and the error-bound routines require.  They refuse a
 hand-built :class:`PenaltySequence` whose constant-mode weight ``beta[0]``
-is nonzero.
+is nonzero; the solver and the selection, which shrink by one weight per
+frequency, also refuse one whose cosine and sine weights differ.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
 
 * discrepancy principle (``select_morozov``): largest grid lambda whose
   weighted node residual has dropped to the known noise level, optionally
-  bisection-refined between neighboring grid points;
+  bisection-refined inside its bracket;
 * L-curve (``select_lcurve``): maximal-curvature corner of the log-log
   residual-versus-smoothness curve, using a closed-form curvature;
 * generalized cross validation (``select_gcv``): minimizer of the GCV score,
@@ -14,7 +14,7 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
 
 Each strategy is a pure function of one :class:`RegularizationPath` that
 returns a :class:`SelectionReport` with a chosen lambda or raises a
-:class:`SelectionError`.
+:class:`SelectionError`; :func:`_pick` builds every report.
 :data:`STRATEGIES`, the single list of them, maps each name to its runner;
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,8 +102,8 @@ class SelectionReport:
     so every report holds a chosen lambda.  ``chosen_index`` is the 0-based
     offset into ``lambdas`` the scan stopped at; when ``refined`` is set,
     ``chosen_lambda`` was bisection-refined and lies between neighboring
-    grid values instead of exactly on one.  ``assumption_ok`` is True on
-    every Morozov report and None on the others.
+    grid values instead of exactly on one.  Every report, Morozov's refined
+    one too, is built by :func:`_pick`.
 
     Per-lambda columns are filled only where the strategy computes them:
     ``residual_sq`` (weighted squared node residual), ``penalty_sq`` (squared
@@ -122,8 +122,6 @@ class SelectionReport:
     gcv: np.ndarray | None = None
     discrepancy: np.ndarray | None = None
     l2_error: np.ndarray | None = None
-    noise_norm_used: float | None = None
-    assumption_ok: bool | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +188,13 @@ class RegularizationPath:
             raise ValueError(
                 "the regularized solve requires zero weight on the constant mode, "
                 f"got beta[0] = {penalty.beta[0]}"
+            )
+        split = np.flatnonzero(penalty.beta[1::2] != penalty.beta[2::2])  # cosine and sine slots
+        if split.size:
+            ell = int(split[0]) + 1
+            raise ValueError(
+                "the regularized solve requires one weight per frequency, but the cosine and sine "
+                f"of ell = {ell} weigh {penalty.beta[2 * ell - 1]} and {penalty.beta[2 * ell]}"
             )
         coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
         return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
@@ -384,31 +389,32 @@ def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: Penalty
                    params: ParameterGrid, noise_norm: float, refine: bool = True) -> SelectionReport:
     """Discrepancy principle: first grid lambda whose residual reaches the noise.
 
-    Scans k = 1..T (lambda decreasing) and stops at the first
-    F(lambda_k) = residual_sq - noise_norm**2 <= 0.  With ``refine`` the root
-    of F is then bisected inside the bracketing interval (using zeta0 as the
-    upper endpoint when the scan stops immediately, and 0 when it never
-    stops) until |F| <= 1e-10 * noise_norm**2 or 60 iterations.
+    Picks the first k = 1..T (lambda decreasing) with
+    F(lambda_k) = residual_sq - noise_norm**2 <= 0, else k = T.  With
+    ``refine`` the root of F is bisected inside (lambda_k, lambda_{k-1}]
+    after a crossing (zeta0 above lambda_1) or (0, lambda_T] without one,
+    until |F| <= 1e-10 * noise_norm**2 or 60 iterations; when F(zeta0) < 0
+    too, the root lies above the grid and lambda_1 stays unrefined.
 
     The principle is only meaningful when the noise norm separates the
     full-degree residual from the residual of the node mean (see
     :meth:`RegularizationPath.discrepancy_bounds`); if that assumption
     fails, it raises :class:`InapplicableStrategyError` rather than fall
-    back silently.  If F stays positive across the whole grid, the root
-    lies below lambda_T (F(0) <= 0 under the assumption) and lambda_T is
-    returned.
+    back silently.  Under it F(0) <= 0, so a root exists below lambda_T
+    when F stays positive across the whole grid.
     """
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     return STRATEGIES["morozov"].run(path, params, noise_norm, refine)
 
 
+def _first_crossing(discrepancy):
+    """Index of the first F <= 0, else of the last grid lambda."""
+    hits = np.flatnonzero(discrepancy <= 0)
+    return hits[0] if hits.size else discrepancy.size - 1
+
+
 def _run_morozov(path, params, noise_norm=None, refine=True, **_):
     _require_nonnegative(noise_norm, "noise norm")
-    noise_sq = float(noise_norm) ** 2
-    j_vals = path.residual_sq()
-    f_vals = j_vals - noise_sq
-    j_at = path.residual_sq  # closed form, O(degree) per bisection step
-
     lower, upper = path.discrepancy_bounds()
     slack = 1e-10 * upper  # forgive pure roundoff in the interpolation residual
     if not (lower <= noise_norm + slack and noise_norm <= upper + slack):
@@ -416,54 +422,27 @@ def _run_morozov(path, params, noise_norm=None, refine=True, **_):
             "morozov noise assumption violated: the noise norm does not separate "
             "the full-degree residual from the residual of the node mean"
         )
-
-    def bisect(lo: float, hi: float) -> float:
-        # invariant: F(lo) <= 0 <= F(hi)
-        tol = 1e-10 * noise_sq
-        mid = 0.5 * (lo + hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            f_mid = j_at(mid) - noise_sq
-            if abs(f_mid) <= tol:
-                return mid
-            if f_mid > 0:
-                hi = mid
-            else:
-                lo = mid
-        return mid
-
-    hits = np.nonzero(f_vals <= 0)[0]
-    if hits.size:
-        idx = int(hits[0])
-        chosen = float(params.lambdas[idx])
-        refined = False
-        if refine:
-            hi = float(params.lambdas[idx - 1]) if idx > 0 else params.zeta0
-            if j_at(hi) - noise_sq >= 0:
-                chosen = bisect(chosen, hi)
-                refined = True
-            # else: even the upper bracket endpoint sits below the noise level,
-            # so the root lies above the grid; keep the largest grid value.
+    noise_sq = float(noise_norm) ** 2
+    j_vals = path.residual_sq()
+    f_vals = j_vals - noise_sq
+    report = _pick(params, "morozov", "morozov", "the discrepancy", f_vals, _first_crossing,
+                   residual_sq=j_vals, discrepancy=f_vals)
+    idx, lam = report.chosen_index, report.chosen_lambda
+    if f_vals[idx] <= 0:
+        lo, hi = lam, float(params.lambdas[idx - 1]) if idx > 0 else params.zeta0
     else:
-        # F > 0 everywhere on the grid.  Under the verified assumption the
-        # root exists below lambda_T (F -> J(0) - noise**2 <= 0 as lam -> 0).
-        idx = params.t_max - 1
-        chosen = float(params.lambdas[idx])
-        refined = False
-        if refine:
-            chosen = bisect(0.0, chosen)
-            refined = True
-    return SelectionReport(
-        strategy="morozov",
-        lambdas=params.lambdas,
-        chosen_lambda=chosen,
-        chosen_index=idx,
-        refined=refined,
-        residual_sq=j_vals,
-        discrepancy=f_vals,
-        noise_norm_used=float(noise_norm),
-        assumption_ok=True,
-    )
+        lo, hi = 0.0, lam
+    if not refine or path.residual_sq(hi) - noise_sq < 0:  # F(hi) < 0: the root lies above the grid
+        return report
+    # bisection on the closed-form J, O(degree) per step; invariant F(lo) <= 0 <= F(hi)
+    tol = 1e-10 * noise_sq
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = path.residual_sq(mid) - noise_sq
+        if abs(f_mid) <= tol:
+            break
+        lo, hi = (lo, mid) if f_mid > 0 else (mid, hi)
+    return replace(report, chosen_lambda=mid, refined=True)
 
 
 def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
@@ -524,6 +503,12 @@ def _run_gcv(path, params, **_):
     return _pick(params, "gcv", "GCV", "the GCV score", v_vals, np.argmin, gcv=v_vals)
 
 
+def _require_eval_points(eval_points, name: str = "eval_points"):
+    """Refuse fewer than the K = 1000 points the oracle and the sweep measure errors on."""
+    if eval_points < 1000:
+        raise ValueError(f"{name} must be >= 1000, got {eval_points}")
+
+
 def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
                   params: ParameterGrid, true_function, eval_points: int = 10000) -> SelectionReport:
     """Benchmark selector: minimize the true L2 error against a known function.
@@ -534,8 +519,7 @@ def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
     one FFT of the function (see :meth:`RegularizationPath.l2_error`), with
     no dense evaluation.
     """
-    if eval_points < 1000:
-        raise ValueError(f"eval_points must be >= 1000, got {eval_points}")
+    _require_eval_points(eval_points)
     path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
     truth = uniform_rfft(true_function(uniform_eval_points(eval_points)))
     return STRATEGIES["oracle"].run(path, params, truth=truth)

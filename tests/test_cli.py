@@ -71,7 +71,7 @@ def test_approximate_manual_lambda(tmp_path, capsys):
     g = tr.make_grid(21)
     approx = tr.solve(tr.gallery("f1")(g.nodes), g, 10, 0.5, tr.laplace_penalty(10))
     alpha = np.array([float(r[2]) for r in rows])
-    assert_allclose(alpha, approx.alpha, rtol=1e-15)
+    assert_allclose(alpha, approx.values, rtol=1e-15)
 
     _, eval_header, eval_rows = read_csv(tmp_path / "evaluation.csv")
     assert eval_header == ["x", "p"]
@@ -203,6 +203,24 @@ def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, m
     argv = ("select", "--gallery", "f1", "--snr-db", "20", *flags, "--output-dir", str(tmp_path))
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    assert not (tmp_path / "chosen.json").exists()
+
+
+def test_grid_is_checked_before_the_input_is_read(tmp_path, capsys):
+    # an underflowing grid with a missing --input file used to exit 6 (io-error)
+    argv = ("select", "--input", str(tmp_path / "missing.csv"), "--q", "0.5", "--t-max", "1100")
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: config-error: parameter grid underflows")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be >= 0, got -1"),  # numpy's message named no flag
+    ("--eval-points", "999", "--eval-points must be >= 1000, got 999"),
+])
+def test_out_of_range_integer_flag_is_named(tmp_path, capsys, flag, value, message):
+    argv = ("select", "--gallery", "f1", "--n", "21", "--snr-db", "20", flag, value)
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: config-error: {message}\n"
     assert not (tmp_path / "chosen.json").exists()
 
 

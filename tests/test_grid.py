@@ -98,8 +98,7 @@ def test_uniform_eval_points_spacing():
 
 
 def test_harmonic_indices_canonical_order():
-    idx = tr.harmonic_indices(2)
-    assert [(i.ell, i.k) for i in idx] == [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)]
+    assert tr.harmonic_indices(2) == [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(tr.harmonic_indices(10)) == 21
 
 
@@ -107,30 +106,9 @@ def test_harmonic_indices_canonical_order():
 def test_mode_layout_is_the_canonical_order(degree):
     ells, branches = tr.mode_layout(degree)
     assert ells.dtype.kind == branches.dtype.kind == "i"
-    assert list(zip(ells.tolist(), branches.tolist())) == [
-        (i.ell, i.k) for i in tr.harmonic_indices(degree)
-    ]
+    assert list(zip(ells.tolist(), branches.tolist())) == tr.harmonic_indices(degree)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         tr.mode_layout(-1)
-
-
-@pytest.mark.parametrize(
-    "ell, k, msg",
-    [
-        (0, 2, "no sine branch"),
-        (1, 3, "must be 1 .* or 2"),
-        (-1, 1, "degree must be >= 0"),
-    ],
-)
-def test_harmonic_index_validation(ell, k, msg):
-    with pytest.raises(ValueError, match=msg):
-        tr.HarmonicIndex(ell, k)
-
-
-def test_harmonic_index_is_frozen():
-    idx = tr.HarmonicIndex(2, 1)
-    with pytest.raises(Exception):
-        idx.ell = 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +134,8 @@ def test_basis_matrix_columns_follow_canonical_order():
     pts = np.array([-1.0, 0.3, 2.0])
     mat = tr.basis_matrix(pts, 3)
     assert mat.shape == (3, 7)
-    for col, idx in enumerate(tr.harmonic_indices(3)):
-        assert_allclose(mat[:, col], ref.harmonic(idx.ell, idx.k, pts), rtol=1e-15)
+    for col, (ell, k) in enumerate(tr.harmonic_indices(3)):
+        assert_allclose(mat[:, col], ref.harmonic(ell, k, pts), rtol=1e-15)
 
 
 def test_gram_matrix_is_identity():

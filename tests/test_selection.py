@@ -220,6 +220,19 @@ def test_diagnostics_reject_constant_form_penalty(single_mode):
         tr.solve(samples, g, 2, 1.0, cpen)
 
 
+def test_solve_refuses_split_cosine_and_sine_weights():
+    # the path shrinks both modes of a frequency by one weight; it used to
+    # read the cosine weight alone and shrink sin x by 1/(1 + 1), not 1/(1 + 25)
+    g = tr.make_grid(11)
+    samples = np.sin(g.nodes) + np.cos(2 * g.nodes)
+    pen = tr.PenaltySequence(5, np.array([0.0, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5]))
+    message = r"one weight per frequency, but the cosine and sine of ell = 1 weigh 1.0 and 5.0$"
+    with pytest.raises(ValueError, match=message):
+        tr.solve(samples, g, 5, 1.0, pen)
+    with pytest.raises(ValueError, match=message):
+        tr.select_gcv(samples, g, 5, pen, tr.parameter_grid())
+
+
 def test_diagnostics_reject_negative_lambda(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match=">= 0"):
@@ -283,9 +296,7 @@ def test_morozov_single_mode_analytic_root(single_mode):
     rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.sqrt(np.pi) / 2)
     assert rep.strategy == "morozov"
     assert rep.refined
-    assert rep.assumption_ok
     assert rep.chosen_lambda == pytest.approx(1.0, abs=1e-8)
-    assert rep.noise_norm_used == pytest.approx(math.sqrt(np.pi) / 2)
 
 
 def test_morozov_unrefined_stays_on_grid(single_mode):
@@ -313,10 +324,42 @@ def test_morozov_zero_noise_pushes_to_grid_floor(single_mode):
     g, samples, pen = single_mode
     params = tr.parameter_grid()
     rep = tr.select_morozov(samples, g, 2, pen, params, 0.0, refine=False)
-    assert rep.assumption_ok
     assert rep.chosen_index == params.t_max - 1
     refined = tr.select_morozov(samples, g, 2, pen, params, 0.0)
     assert refined.chosen_lambda <= params.lambdas[-1]
+
+
+@pytest.fixture(scope="module")
+def f1_row():
+    """A noisy f1 row (N = 101, 20 dB, seed 0) whose Morozov root is about 0.00912."""
+    g = tr.make_grid(101)
+    real = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0)
+    return g, real.noisy, tr.laplace_penalty(50), real.eps_wnorm
+
+
+# One bracket per case: (lambda_k, lambda_{k-1} or zeta0] after a crossing,
+# (0, lambda_T] without one; each refined lambda is pinned to its repr.
+@pytest.mark.parametrize("grid_args, noise, index, refined, chosen", [
+    # F(zeta0) < 0: the root lies above the grid, lambda_1 is kept
+    ({"zeta0": 1e-6}, None, 0, False, "9.330329915368074e-07"),
+    ({"zeta0": 0.0095}, None, 0, True, "0.00912060586962466"),  # root in (lambda_1, zeta0]
+    ({}, None, 67, True, "0.009120605870708162"),  # an interior crossing
+    ({"t_max": 60}, None, 59, True, "0.009120605869611605"),  # root in (0, lambda_T]
+    ({}, 0.0, 399, True, "7.888609052210098e-31"),  # no noise: F > 0 on the whole grid
+], ids=["above-zeta0", "below-zeta0", "interior", "below-grid", "zero-noise"])
+def test_morozov_bracket_cases(f1_row, grid_args, noise, index, refined, chosen):
+    g, samples, pen, eps_wnorm = f1_row
+    params = tr.parameter_grid(**grid_args)
+    noise = eps_wnorm if noise is None else noise
+    rep = tr.select_morozov(samples, g, 50, pen, params, noise)
+    assert (rep.chosen_index, rep.refined, repr(rep.chosen_lambda)) == (index, refined, chosen)
+    grid_pick = tr.select_morozov(samples, g, 50, pen, params, noise, refine=False)
+    assert grid_pick.chosen_index == index and grid_pick.chosen_lambda == params.lambdas[index]
+    upper = params.lambdas[index - 1] if index else params.zeta0
+    if rep.discrepancy[index] > 0:  # no crossing
+        assert 0 < rep.chosen_lambda <= params.lambdas[index]
+    elif refined:
+        assert params.lambdas[index] <= rep.chosen_lambda <= upper
 
 
 MOROZOV_VIOLATED = (
@@ -546,7 +589,7 @@ def test_overflowing_lambda_beta_sq_has_the_limit_factors():
     alpha = path.alpha(1e305)
     assert np.all(alpha[overflowed[0][tr.mode_layout(50)[0]]] == 0.0) and alpha[0] == path.coeffs[0]
     approx = tr.solve(noisy, g, 50, 1e305, tr.laplace_penalty(50))
-    assert np.array_equal(approx.alpha, path.alpha(1e305))
+    assert np.array_equal(approx.values, path.alpha(1e305))
 
 
 @pytest.mark.filterwarnings("error")  # as under python -W error
