@@ -37,7 +37,9 @@ reports the mean ``ms`` per command and the part of it spent in
 ``cli._write_csv`` (``write_csv_ms``), which the benchmark's traces do not
 wrap.  With ``--src`` each command runs on both trees back to back, and its
 ``ratio`` is the median of the per-command ratios, so one slow call does
-not set it.  Large N gets fewer repeats, and each call runs once untimed first.
+not set it.  Each call runs once untimed first, then 15 timed repeats for
+N < 10**4, 11 for N < 5*10**5 (with 5, layers both trees shared read
+ratios of 1.19 and 1.33 at N = 10**5 + 1) and 3 above.
 
 ``--src`` names a second source tree.  Its ``trigreg`` is imported as a
 second package, ``other_trigreg``, beside this checkout's, and every timed
@@ -179,7 +181,7 @@ def size_row(trees, n: int, workdir: str) -> dict:
     this.cli._write_csv(samples, {}, ["x", "y"], [nodes, realization.noisy])
     calls = [layer_calls(tree, realization.noisy, realization.eps_wnorm, dense, samples,
                          os.path.join(workdir, f"{tree.__name__}.csv")) for tree in trees]
-    repeats = 15 if n < 10_000 else 5 if n < 500_000 else 3
+    repeats = 15 if n < 10_000 else 11 if n < 500_000 else 3
     row = {"K": dense.size}
     for name in calls[0]:
         layer = [tree_calls[name] for tree_calls in calls]

@@ -7,7 +7,7 @@ penalized least-squares problem
 
 decouples mode by mode and has the closed-form solution
 
-    alpha(ell, k) = <f, Y(ell,k)>_N / (1 + lambda * beta(ell,k)**2).
+    alpha(ell, k) = <f, Y(ell,k)>_N / (1 + lambda * beta_ell**2).
 
 lambda = 0 reproduces plain discrete least squares (interpolation when
 N = 2*degree + 1); lambda > 0 shrinks every penalized mode toward zero.
@@ -40,8 +40,8 @@ def solve(samples, grid: TrapezoidalGrid, degree: int, lam: float,
     A thin view of :class:`~trigreg.selection.RegularizationPath`: the
     path of the samples over the one lambda ``lam``, and its coefficients
     there, as the polynomial ``FourierCoefficients(degree, alpha, N)``.
-    Requires lam >= 0, a penalty built for the same degree with zero weight
-    on the constant mode and one weight per frequency, and 2*degree + 1 <= N.
+    Requires lam >= 0, a penalty built for the same degree, and
+    2*degree + 1 <= N.
     """
     _require_nonnegative(lam)
     lam = float(lam)
@@ -71,33 +71,30 @@ def condition_number(lam: float, penalty: PenaltySequence) -> float:
 def stability_constant(lam: float, penalty: PenaltySequence) -> float:
     """Uniform-in-N bound factor on the operator norm for lam > 0.
 
-    Returns sqrt(1 + lam**-2 * sum_{ell>=1} beta(ell,k)**-4).  The bound only
-    exists when lam is strictly positive and every nonconstant mode carries a
-    strictly positive weight (and the constant mode none at all).
+    Returns sqrt(1 + lam**-2 * 2 * sum_{ell>=1} beta_ell**-4), the sum over
+    both modes of each nonconstant frequency.  The bound only exists when
+    lam is strictly positive and every nonconstant frequency carries a
+    strictly positive weight.
     """
     if not lam > 0:
         raise ValueError(
             f"the stability bound is undefined for lam = {lam}; it needs lam > 0"
         )
-    if penalty.beta[0] != 0:
-        raise ValueError(
-            "the stability bound requires zero weight on the constant mode, "
-            f"got beta[0] = {penalty.beta[0]}"
-        )
     rest = penalty.beta[1:]
-    if rest.size and np.any(rest == 0):
+    if np.any(rest == 0):
         raise ValueError(
-            "the stability bound is undefined when a nonconstant mode has zero weight"
+            "the stability bound is undefined when a nonconstant frequency has zero weight"
         )
-    return float(np.sqrt(1.0 + lam**-2 * np.sum(rest**-4.0)))
+    return float(np.sqrt(1.0 + lam**-2 * 2.0 * np.sum(rest**-4.0)))
 
 
 def lebesgue_bound(lam: float, penalty: PenaltySequence) -> float:
-    """Upper bound 1 + sum_{ell>=1} sqrt(2)/(1 + lam*beta**2) on the sup-norm
-    of the sampling operator applied to unit-sup data.
+    """Upper bound 1 + 2 * sum_{ell>=1} sqrt(2)/(1 + lam*beta_ell**2) on the
+    sup-norm of the sampling operator applied to unit-sup data, the sum
+    counting both modes of each nonconstant frequency.
 
     Grows like the dimension at lam = 0 and decays toward 1 as lam -> inf.
     """
     _require_nonnegative(lam)
     rest_sq = penalty.beta[1:] ** 2
-    return 1.0 + float(np.sum(np.sqrt(2.0) / (1.0 + lam * rest_sq)))
+    return 1.0 + 2.0 * float(np.sum(np.sqrt(2.0) / (1.0 + lam * rest_sq)))

@@ -326,6 +326,8 @@ def _prepare_input(cfg: argparse.Namespace, levels: list[float]):
             samples = realization.noisy
         return grid, samples, func, realization, f"gallery:{cfg.gallery}"
     grid, samples = _read_samples_csv(cfg.input)
+    if cfg.n is not None and cfg.n != grid.n_points:
+        raise CliError("grid-error", f"--n {cfg.n} contradicts the {grid.n_points} samples of {cfg.input}")
     return grid, samples, None, None, f"input:{cfg.input}"
 
 

@@ -1,17 +1,17 @@
 """Penalization weight sequences for the coefficient-shrinkage solver.
 
-A penalty attaches a nonnegative weight beta(ell, k) to every basis mode; the
-regularized solver divides mode (ell, k) by 1 + lambda*beta**2, so larger
+A penalty attaches one nonnegative weight beta_ell to each frequency
+ell = 0..L, shared by cos(ell x) and sin(ell x); the regularized solver
+divides both modes of frequency ell by 1 + lambda*beta_ell**2, so larger
 weights damp their modes harder.  The one family raises the frequency to a
 power,
 
-    beta(ell, k) = ell**s,   s > 0,
+    beta_ell = ell**s,   s > 0,
 
-which grows with frequency and vanishes on the constant mode -- the shape the
-solver, the selection and the error-bound routines require.  They refuse a
-hand-built :class:`PenaltySequence` whose constant-mode weight ``beta[0]``
-is nonzero; the solver and the selection, which shrink by one weight per
-frequency, also refuse one whose cosine and sine weights differ.
+which grows with frequency and vanishes on the constant mode.  Every
+:class:`PenaltySequence` has that shape: its constructor refuses any other,
+so the solver, the selection and the error bounds check nothing but the
+degree.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import mode_layout
 
 __all__ = [
     "PenaltySequence",
@@ -30,10 +28,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltySequence:
-    """Mode weights in canonical harmonic order (length 2*degree + 1)."""
+    """One weight per frequency, ``beta[ell]`` for ell = 0..degree >= 0, kept
+    as a read-only float copy.  Any other count (a per-mode array of
+    2*degree + 1 too), a nonzero ``beta[0]``, and a negative or NaN weight
+    or one whose square is not a finite float are refused."""
 
     degree: int
     beta: np.ndarray
+
+    def __post_init__(self):
+        beta = np.array(self.beta, dtype=float)
+        if not self.degree >= 0 or beta.shape != (self.degree + 1,):
+            raise ValueError(f"a penalty needs degree >= 0 and degree + 1 = {self.degree + 1} weights, one "
+                             f"per frequency, got degree {self.degree} and shape {beta.shape}")
+        if beta[0] != 0:
+            raise ValueError(f"a penalty needs zero weight on the constant mode, got beta[0] = {beta[0]}")
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~(beta >= 0) | ~np.isfinite(beta**2))
+        if bad.size:
+            raise ValueError(f"weights must be >= 0 with a finite square, got beta[{bad[0]}] = {beta[bad[0]]}")
+        beta.flags.writeable = False
+        object.__setattr__(self, "beta", beta)
 
 
 def _require_nonnegative(value, what: str = "regularization parameter"):
@@ -58,7 +73,7 @@ def _require_positive(value, what: str):
 
 
 def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
-    """Power-law weights beta(ell, k) = ell**s (zero on the constant mode).
+    """Power-law weights beta_ell = ell**s (zero on the constant mode).
 
     The exponent must be positive and finite; s = 1 matches second-derivative
     smoothing, larger s penalizes high frequencies more aggressively.  Every
@@ -69,13 +84,12 @@ def laplace_penalty(degree: int, s: float = 1.0) -> PenaltySequence:
         raise ValueError(f"degree must be >= 0, got {degree}")
     _require_positive(s, "smoothness exponent s")
     with np.errstate(over="ignore"):  # refused below
-        beta = mode_layout(degree)[0].astype(float) ** float(s)
+        beta = np.arange(degree + 1, dtype=float) ** float(s)
         top_sq = beta[-1] ** 2
     if not np.isfinite(top_sq):
         raise ValueError(
             f"smoothness exponent s = {s} is too steep for degree {degree}: "
             f"the top squared weight {degree}**(2*s) overflows"
         )
-    beta.flags.writeable = False
     return PenaltySequence(degree=degree, beta=beta)
 

@@ -19,8 +19,8 @@ returns a :class:`SelectionReport` with a chosen lambda or raises a
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
 
-All diagnostics here require a penalty with zero weight on the constant mode,
-as the power-law family of :func:`~trigreg.penalty.laplace_penalty` has.
+Every diagnostic reads one penalty weight per frequency, zero on the
+constant mode, as every :class:`~trigreg.penalty.PenaltySequence` holds.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ class RegularizationPath:
 
     The solve shrinks each discrete Fourier coefficient c of the samples by
     s = 1/(1 + lam*beta**2).  Cosine and sine of frequency ell share beta,
-    so the path keeps one table per frequency (:meth:`factors`) of s and
+    so ``beta_sq`` holds one entry per frequency ell = 0..L, and the path
+    keeps one table per frequency (:meth:`factors`) of s and
     w = lam*beta**2 * s (1 - s without the cancellation), both in [0, 1].
     With e = c_cos**2 + c_sin**2, every scan diagnostic is a bounded sum:
 
@@ -184,33 +185,19 @@ class RegularizationPath:
             raise ValueError(
                 f"penalty degree {penalty.degree} does not match requested degree {degree}"
             )
-        if penalty.beta[0] != 0:
-            raise ValueError(
-                "the regularized solve requires zero weight on the constant mode, "
-                f"got beta[0] = {penalty.beta[0]}"
-            )
-        split = np.flatnonzero(penalty.beta[1::2] != penalty.beta[2::2])  # cosine and sine slots
-        if split.size:
-            ell = int(split[0]) + 1
-            raise ValueError(
-                "the regularized solve requires one weight per frequency, but the cosine and sine "
-                f"of ell = {ell} weigh {penalty.beta[2 * ell - 1]} and {penalty.beta[2 * ell]}"
-            )
         coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
         return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
 
     @cached_property
-    def _frequencies(self):
-        """Per frequency ell = 0..L: beta**2, the energy e and the number of modes."""
+    def _energy(self):
+        """The energy e = c_cos**2 + c_sin**2 of each frequency ell = 0..L."""
         pairs = _paired(self.coeffs)
-        counts = np.full(pairs.shape[1], 2.0)
-        counts[0] = 1.0
-        return _paired(self.beta_sq)[0], np.einsum("ij,ij->j", pairs, pairs), counts
+        return np.einsum("ij,ij->j", pairs, pairs)
 
     @cached_property
     def _lam_limit(self) -> float:
         """A lambda up to which no 1 + lam*beta**2 overflows."""
-        top = float(self._frequencies[0].max())
+        top = float(self.beta_sq.max())
         return np.finfo(float).max / (2.0 * top) if top > 0 else math.inf
 
     def factors(self, lam):
@@ -223,10 +210,9 @@ class RegularizationPath:
         return self._factors(lam, None, top > self._lam_limit)
 
     def _factors(self, lam, out, overflows: bool):
-        beta_sq = self._frequencies[0]
-        shrink, weight = out if out is not None else np.empty((2, *np.shape(lam), beta_sq.size))
+        shrink, weight = out if out is not None else np.empty((2, *np.shape(lam), self.beta_sq.size))
         with np.errstate(all="ignore") if overflows else nullcontext():
-            np.multiply.outer(lam, beta_sq, out=weight)
+            np.multiply.outer(lam, self.beta_sq, out=weight)
             np.add(weight, 1.0, out=shrink)
             np.reciprocal(shrink, out=shrink)
             weight *= shrink
@@ -236,14 +222,14 @@ class RegularizationPath:
 
     @cached_property
     def _step(self) -> int:  # lambdas per block of _blocks
-        return max(1, _BLOCK_ELEMENTS // self._frequencies[0].size)
+        return max(1, _BLOCK_ELEMENTS // self.beta_sq.size)
 
     def _blocks(self):
         """Yield (slice, s, w) over blocks of the path's lambdas: (block, L+1)
         factors of at most _BLOCK_ELEMENTS entries in one cache-sized pair of
         buffers that every block overwrites, where whole-path ones would
         fault in fresh pages."""
-        buffers = np.empty((2, min(self._step, self.lambdas.size), self._frequencies[0].size))
+        buffers = np.empty((2, min(self._step, self.lambdas.size), self.beta_sq.size))
         overflows = np.max(self.lambdas, initial=0.0) > self._lam_limit
         for start in range(0, self.lambdas.size, self._step):
             part = slice(start, start + self._step)
@@ -253,7 +239,8 @@ class RegularizationPath:
     @cached_property
     def _sums(self):
         # J - r0, A, B and the trace of the class docstring, in one pass
-        _, energy, counts = self._frequencies
+        energy, counts = self._energy, np.full(self.beta_sq.size, 2.0)  # modes per frequency
+        counts[0] = 1.0
         fit, scaled, scaled_prime, trace = np.empty((4, self.lambdas.size))
         for part, shrink, weight in self._blocks():
             trace[part] = weight @ counts
@@ -277,7 +264,7 @@ class RegularizationPath:
         if lam is None:
             return self.r0 + self._sums[0]
         _, weight = self.factors(lam)
-        return float(self.r0 + weight**2 @ self._frequencies[1])
+        return float(self.r0 + weight**2 @ self._energy)
 
     def _unscaled(self, power: int):
         """A/lam (power 1) or B/lam/lam (power 2; lam**2 overflows above 1.3e154)
@@ -288,8 +275,7 @@ class RegularizationPath:
         if power == 2:
             np.divide(out, self.lambdas, where=~zero, out=out)
         if zero.any():
-            beta_sq, energy, _ = self._frequencies
-            out[zero] = (-2.0) ** (power - 1) * (beta_sq**power @ energy)
+            out[zero] = (-2.0) ** (power - 1) * (self.beta_sq**power @ self._energy)
         return out
 
     def penalty_sq(self):
@@ -362,7 +348,7 @@ class RegularizationPath:
     def discrepancy_bounds(self) -> tuple[float, float]:
         """Morozov's noise bounds sqrt(J(0)) = sqrt(r0) and sqrt(r0 + sum_{ell>=1} e),
         the latter equal to ||f - mean(f)||_N by orthogonality."""
-        return math.sqrt(self.r0), math.sqrt(self.r0 + float(self._frequencies[1][1:].sum()))
+        return math.sqrt(self.r0), math.sqrt(self.r0 + float(self._energy[1:].sum()))
 
 
 def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
@@ -455,7 +441,7 @@ def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
 def _require_penalized_data(path, name: str):
     """Refuse data whose penalized seminorm vanishes: L-curve and GCV then
     rank nothing but roundoff."""
-    beta, size = np.sqrt(path._frequencies[0]), np.sqrt(path._frequencies[1])
+    beta, size = np.sqrt(path.beta_sq), np.sqrt(path._energy)
     # Roundoff leaves ~1e-16 relics on the penalized modes even for an
     # exactly constant signal, so the zero test must be relative.
     if np.max(beta * size) <= 1e-13 * np.max(beta) * np.max(size):

@@ -143,13 +143,21 @@ def test_stability_constant_requires_positive_lambda():
         tr.stability_constant(0.0, tr.laplace_penalty(2))
 
 
+def test_stability_constant_needs_every_nonconstant_frequency_weighted():
+    pen = tr.PenaltySequence(2, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="nonconstant frequency has zero weight"):
+        tr.stability_constant(1.0, pen)
+    assert tr.lebesgue_bound(0.5, pen) == pytest.approx(1 + 2 * math.sqrt(2) * (1 + 1 / 1.5), rel=1e-14)
+
+
 def test_stability_constant_rejects_constant_form(cos_problem):
+    # a weighted constant mode is refused where the penalty is built, so neither
+    # the bound nor the solver can be handed one
     g, samples, _ = cos_problem
-    cpen = tr.PenaltySequence(2, np.ones(5))
-    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
-        tr.stability_constant(1.0, cpen)
-    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
-        tr.solve(samples, g, 2, 1.0, cpen)
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
+        tr.stability_constant(1.0, tr.PenaltySequence(2, np.ones(3)))
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
+        tr.solve(samples, g, 2, 1.0, tr.PenaltySequence(2, np.ones(3)))
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,22 @@ def test_input_csv_even_count_is_grid_error(tmp_path, capsys):
     assert "odd number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["approximate", "select"])
+def test_n_that_contradicts_the_input_is_grid_error(tmp_path, capsys, command):
+    # the file sets N: a contradicting --n is refused before any output, not ignored
+    g = tr.make_grid(11)
+    path = tmp_path / "samples.csv"
+    write_samples(path, g.nodes, tr.gallery("f1")(g.nodes))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--input", str(path), "--strategy", "gcv", "--output-dir", str(out)]
+    assert run_cli(*argv, "--n", "2001") == 4
+    assert capsys.readouterr().err == f"error: grid-error: --n 2001 contradicts the 11 samples of {path}\n"
+    assert list(out.iterdir()) == []
+    assert run_cli(*argv, "--n", "11") == 0
+    assert "n=11" in capsys.readouterr().out
+
+
 def test_input_csv_off_grid_nodes_rejected(tmp_path, capsys):
     g = tr.make_grid(5)
     path = tmp_path / "samples.csv"

@@ -147,7 +147,7 @@ def test_path_scan_matches_whole_path_formulas(n_points):
     square = tr.gallery("square")(tr.uniform_eval_points(10000))
     truth, remainder = tr.uniform_projection(square, degree)
 
-    c, beta_sq = path.coeffs, pen.beta**2
+    c, beta_sq = path.coeffs, pen.beta[tr.mode_layout(degree)[0]] ** 2  # per mode
     lam_bsq = np.outer(beta_sq, lambdas)
     shrink = 1.0 / (1.0 + lam_bsq)
     weight = lam_bsq * shrink
@@ -205,7 +205,7 @@ def test_exchange_identity_between_derivatives():
     pen = tr.laplace_penalty(5, 1.5)
     lams = np.array([0.01, 0.5, 3.0])
     path = tr.RegularizationPath.from_samples(samples, g, 5, pen, lams)
-    c, b_sq = tr.analyze(samples, g, 5).values, pen.beta**2
+    c, b_sq = tr.analyze(samples, g, 5).values, pen.beta[tr.mode_layout(5)[0]] ** 2
     for lam, kp in zip(lams, path.penalty_sq_prime()):
         jp = float(np.sum(2 * lam * b_sq**2 / (1 + lam * b_sq) ** 3 * c**2))
         assert jp == pytest.approx(-lam * kp, rel=1e-13)
@@ -213,24 +213,10 @@ def test_exchange_identity_between_derivatives():
 
 def test_diagnostics_reject_constant_form_penalty(single_mode):
     g, samples, _ = single_mode
-    cpen = tr.PenaltySequence(2, np.ones(5))
-    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
-        tr.residual_sq(samples, g, 2, cpen, 1.0)
-    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0"):
-        tr.solve(samples, g, 2, 1.0, cpen)
-
-
-def test_solve_refuses_split_cosine_and_sine_weights():
-    # the path shrinks both modes of a frequency by one weight; it used to
-    # read the cosine weight alone and shrink sin x by 1/(1 + 1), not 1/(1 + 25)
-    g = tr.make_grid(11)
-    samples = np.sin(g.nodes) + np.cos(2 * g.nodes)
-    pen = tr.PenaltySequence(5, np.array([0.0, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5]))
-    message = r"one weight per frequency, but the cosine and sine of ell = 1 weigh 1.0 and 5.0$"
-    with pytest.raises(ValueError, match=message):
-        tr.solve(samples, g, 5, 1.0, pen)
-    with pytest.raises(ValueError, match=message):
-        tr.select_gcv(samples, g, 5, pen, tr.parameter_grid())
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
+        tr.residual_sq(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), 1.0)
+    with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
+        tr.solve(samples, g, 2, 1.0, tr.PenaltySequence(2, np.ones(3)))
 
 
 def test_diagnostics_reject_negative_lambda(single_mode):
@@ -445,7 +431,7 @@ def test_gcv_value_matches_explicit_matrices(single_mode):
     closed_scores = _path(samples, g, 2, pen, *lams).gcv()
     mat = tr.basis_matrix(g.nodes, 2)
     w = np.eye(5) * g.weight
-    b_sq = np.diag(pen.beta**2)
+    b_sq = np.diag(pen.beta[tr.mode_layout(2)[0]] ** 2)
     for lam, closed in zip(lams, closed_scores):
         gram = mat.T @ w @ mat + lam * b_sq
         alpha = np.linalg.solve(gram, mat.T @ w @ samples)
@@ -461,7 +447,7 @@ def test_select_gcv_minimizes_score(single_mode):
     assert rep.strategy == "gcv"
     assert rep.chosen_index == int(np.argmin(rep.gcv))
     # V = sum (w*c)**2 / (sum w)**2 with w = lam*beta**2/(1 + lam*beta**2)
-    c, b_sq = tr.analyze(samples, g, 2).values, pen.beta**2
+    c, b_sq = tr.analyze(samples, g, 2).values, pen.beta[tr.mode_layout(2)[0]] ** 2
     weight = np.outer(rep.lambdas[:5], b_sq) / (1 + np.outer(rep.lambdas[:5], b_sq))
     assert_allclose(rep.gcv[:5], ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2, rtol=1e-13)
 
@@ -475,7 +461,7 @@ def test_select_gcv_on_a_hyperinterpolation_grid_minimizes_the_explicit_quotient
     mat, sqrt_w = tr.basis_matrix(g.nodes, 5), math.sqrt(g.weight)
     explicit = []
     for lam in params.lambdas:
-        gram = g.weight * mat.T @ mat + lam * np.diag(pen.beta**2)
+        gram = g.weight * mat.T @ mat + lam * np.diag(pen.beta[tr.mode_layout(5)[0]] ** 2)
         hat = g.weight * mat @ np.linalg.solve(gram, mat.T)
         resid = sqrt_w * (hat @ noisy - noisy)
         explicit.append(float(resid @ resid) / float(np.trace(np.eye(21) - hat)) ** 2)
@@ -554,7 +540,8 @@ def test_path_matches_the_mode_wise_reference(n_points, s):
     path = tr.RegularizationPath.from_samples(
         noisy, g, degree, tr.laplace_penalty(degree, s), tr.parameter_grid().lambdas
     )
-    want = ref.path_diagnostics(path.coeffs, path.beta_sq, path.lambdas, path.r0)
+    beta_sq = path.beta_sq[tr.mode_layout(degree)[0]]  # the reference sums mode by mode
+    want = ref.path_diagnostics(path.coeffs, beta_sq, path.lambdas, path.r0)
     assert_allclose(path.residual_sq(), want["J"], rtol=1e-12, atol=0)
     assert_allclose(path.penalty_sq(), want["K"], rtol=1e-12, atol=0)
     assert_allclose(path.penalty_sq_prime(), want["K'"], rtol=1e-12, atol=0)
@@ -603,7 +590,7 @@ def test_penalty_sq_prime_on_lambdas_whose_square_overflows():
     k_prime = path.penalty_sq_prime()
     assert k_prime[0] == 0.0 and np.all(k_prime <= 0.0)
     with np.errstate(all="ignore"):  # the reference's kappa squares lam
-        want = ref.path_diagnostics(path.coeffs, path.beta_sq, lambdas, path.r0)
+        want = ref.path_diagnostics(path.coeffs, path.beta_sq[tr.mode_layout(50)[0]], lambdas, path.r0)
     assert_allclose(k_prime, want["K'"], rtol=1e-12, atol=1e-300)
     assert_allclose(path.penalty_sq(), want["K"], rtol=1e-12, atol=0)
 
@@ -667,14 +654,13 @@ def test_oracle_reads_an_eval_grid_below_the_degree(eval_points):
 
 def test_selection_rejects_constant_form_penalty_everywhere(single_mode):
     g, samples, _ = single_mode
-    cpen = tr.PenaltySequence(2, np.ones(5))
     params = tr.parameter_grid(t_max=10)
     for call in (
-        lambda: tr.select_lcurve(samples, g, 2, cpen, params),
-        lambda: tr.select_morozov(samples, g, 2, cpen, params, 0.1),
-        lambda: tr.select_gcv(samples, g, 2, cpen, params),
-        lambda: tr.select_oracle(samples, g, 2, cpen, params, np.cos),
-        lambda: tr.solve(samples, g, 2, 0.5, cpen),
+        lambda: tr.select_lcurve(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params),
+        lambda: tr.select_morozov(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params, 0.1),
+        lambda: tr.select_gcv(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params),
+        lambda: tr.select_oracle(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params, np.cos),
+        lambda: tr.solve(samples, g, 2, 0.5, tr.PenaltySequence(2, np.ones(3))),
     ):
         with pytest.raises(ValueError, match="zero weight on the constant mode"):
             call()
