@@ -141,12 +141,7 @@ def layer_calls(tree, noisy, eps_wnorm: float, dense, samples: str, table: str) 
         noisy, tree.make_grid(n), degree, tree.laplace_penalty(degree), params.lambdas
     )
     path._sums  # cached from here on: the selectors below then time what follows the scan
-    # the oracle's truth: the (rfft, K) pair where grid.uniform_rfft exists, and on
-    # an older tree (one --src may name) the (coefficients, remainder) pair it read
-    if hasattr(tree.grid, "uniform_rfft"):
-        truth = tree.uniform_rfft(dense)
-    else:
-        truth = tree.uniform_projection(dense, degree)
+    truth = tree.uniform_rfft(dense)  # the oracle's (rfft, K) pair
     spectrum = np.fft.rfft(dense)
     alpha = path.alpha(strategies["morozov"].run(path, params, noise_norm=eps_wnorm).chosen_lambda)
     x, values = tree.uniform_eval_points(n), tree.uniform_synthesis(alpha, n)

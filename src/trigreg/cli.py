@@ -182,6 +182,8 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
         raise CliError("config-error", "exactly one of --gallery or --input is required")
     if cfg.gallery is None and cfg.command == "sweep":
         raise CliError("config-error", "sweep needs a --gallery signal (the true function)")
+    if cfg.snr_db is not None and cfg.gallery is None:
+        raise CliError("config-error", "--snr-db needs --gallery: samples read with --input get no noise")
     if cfg.input is None and cfg.n is None:
         raise CliError("config-error", "--n is required with --gallery")
     if cfg.n is not None and (cfg.n < 3 or cfg.n % 2 == 0):
@@ -189,6 +191,8 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
     # a ValueError is a config-error
     if cfg.lam is not None:
         _require_nonnegative(cfg.lam, "--lambda")
+        if _parse_strategies(cfg) != ["manual"]:
+            raise CliError("config-error", "--lambda applies only to --strategy manual")
     if cfg.noise_norm is not None:
         _require_nonnegative(cfg.noise_norm, "--noise-norm")
     _require_nonnegative(cfg.seed, "--seed")
@@ -569,7 +573,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         raise CliError("config-error", f"--snr-db names the level {_fmt(repeated)} more than once")
     names = _parse_strategies(cfg)
     params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
-    report = sweep(
+    rows = sweep(
         cfg.gallery,
         cfg.n,
         exponent_s=cfg.s,
@@ -581,13 +585,13 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         emit_curves=cfg.emit_curves,
     )
 
-    meta = _metadata(cfg, report.n_points, f"gallery:{cfg.gallery}", strategy=",".join(names),
-                     snr_db=cfg.snr_db)
+    meta = _metadata(cfg, cfg.n, f"gallery:{cfg.gallery}", strategy=",".join(names), snr_db=cfg.snr_db)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    columns = [[row.snr_db for row in report.rows]]
-    columns += [[row.chosen.get(strategy) for row in report.rows] for _, strategy in REPORT_COLUMNS]
-    columns += [[row.l2.get(strategy) for row in report.rows] for _, strategy in REPORT_COLUMNS]
+    columns = [[row.snr_db for row in rows]]
+    columns += [[row.reports[strategy].chosen_lambda if strategy in row.reports else None for row in rows]
+                for _, strategy in REPORT_COLUMNS]
+    columns += [[row.l2.get(strategy) for row in rows] for _, strategy in REPORT_COLUMNS]
     report_path = os.path.join(outdir, "report.csv")
     header = ["snr_db"]
     header += [f"lambda_{suffix}" for suffix, _ in REPORT_COLUMNS]
@@ -596,7 +600,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     outputs = [report_path]
 
     if cfg.emit_curves:
-        for row in report.rows:
+        for row in rows:
             l2_curve, uniform_curve = row.curve
             level = row.snr_db
             tag = str(int(level)) if float(level).is_integer() else str(level)
@@ -609,15 +613,14 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             )
             outputs.append(curve_path)
 
-    failed = sum(1 for row in report.rows for v in row.chosen.values() if v is None)
     parts = [
         "ok",
         "command=sweep",
         f"source=gallery:{cfg.gallery}",
-        f"n={report.n_points}",
+        f"n={cfg.n}",
         f"levels={len(levels)}",
         f"strategies={','.join(names)}",
-        f"failed_cells={failed}",
+        f"failed_cells={sum(len(row.failures) for row in rows)}",
         "files=" + ",".join(outputs),
     ]
     print(" ".join(parts))

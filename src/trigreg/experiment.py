@@ -63,7 +63,6 @@ from .selection import (
 __all__ = [
     "NoisyRealization",
     "SweepRow",
-    "SweepReport",
     "add_noise_snr",
     "uniform_error_curve",
     "gallery",
@@ -79,7 +78,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyRealization:
     """One seeded noisy sampling of a signal, with the noise kept for replay.
 
@@ -207,41 +206,27 @@ def vallee_poussin(f, n: int, quad_points: int) -> FourierCoefficients:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepRow:
-    """One noise level: chosen lambdas, their errors, and failure notes.
+    """One noise level of :func:`sweep`.
 
-    All dictionaries are keyed by strategy name (the keys of
-    :data:`~trigreg.selection.STRATEGIES`).  A strategy that failed has None
-    entries and an explanatory message; Morozov's is None where its noise
-    assumption failed.  ``curve`` optionally carries the per-lambda (l2,
-    uniform) error arrays over the parameter grid.
+    ``reports`` and ``failures`` are what
+    :func:`~trigreg.selection.run_strategies` returned on the level's path:
+    the :class:`~trigreg.selection.SelectionReport` of each strategy that
+    chose a grid lambda, and the message of each that raised.  ``l2`` and
+    ``uniform`` hold the errors at each report's pick, keyed as ``reports``.
+    ``curve`` optionally carries the per-lambda (l2, uniform) error arrays
+    over the parameter grid.  ``add_noise_snr(clean, snr_db, row_seed)``
+    replays the level's noise.
     """
 
     snr_db: float
     row_seed: int
-    eps_wnorm: float
-    eps_sup: float
-    chosen: dict
-    chosen_index: dict
+    reports: dict
+    failures: dict
     l2: dict
     uniform: dict
-    messages: dict
     curve: tuple | None = None
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Deterministic sweep outcome: one row per SNR level plus the setup."""
-
-    function_name: str
-    n_points: int
-    degree: int
-    exponent_s: float
-    seed: int
-    params: ParameterGrid
-    eval_points: int
-    rows: tuple
 
 
 # Lambdas in flight in the uniform-error sweep: each of the W worker threads
@@ -351,25 +336,22 @@ def sweep(
     params: ParameterGrid | None = None,
     eval_points: int = 10000,
     emit_curves: bool = False,
-) -> SweepReport:
+) -> tuple[SweepRow, ...]:
     """Run every requested strategy at every SNR level on one signal.
 
-    ``function`` is a gallery name or a callable.  The polynomial degree is
-    (N-1)/2, i.e. the interpolatory setting, and every chosen lambda is a
-    grid value (no bisection refinement) so rows stay comparable.  Identical
-    arguments produce an identical report, bit for bit; each row draws its
-    noise from an independent stream derived from (seed, row index).  Each
-    row analyzes its samples once and runs every strategy on that one path
-    (:func:`~trigreg.selection.run_strategies`).  Errors are measured on
-    K = ``eval_points`` >= 1000 points, as the oracle's are.
+    ``function`` is a gallery name or a callable.  Returns one
+    :class:`SweepRow` per level, in ``snr_levels`` order.  The polynomial
+    degree is (N-1)/2, i.e. the interpolatory setting, and every chosen
+    lambda is a grid value (no bisection refinement) so rows stay
+    comparable.  Identical arguments produce identical rows, bit for bit;
+    each row draws its noise from an independent stream derived from
+    (seed, row index).  Each row analyzes its samples once and runs every
+    strategy on that one path (:func:`~trigreg.selection.run_strategies`).
+    Errors are measured on K = ``eval_points`` >= 1000 points, as the
+    oracle's are.
     """
     _require_eval_points(eval_points)
-    if isinstance(function, str):
-        name = function
-        func = gallery(function)
-    else:
-        name = getattr(function, "__name__", "custom")
-        func = function
+    func = gallery(function) if isinstance(function, str) else function
     grid = make_grid(n_points)
     degree = (grid.n_points - 1) // 2
     pen = laplace_penalty(degree, exponent_s)
@@ -386,48 +368,27 @@ def sweep(
         row_seed = _row_seed(seed, i)
         realization = add_noise_snr(clean, snr_db, row_seed)
         path = RegularizationPath.from_samples(realization.noisy, grid, degree, pen, params.lambdas)
-        reports, messages = run_strategies(
+        reports, failures = run_strategies(
             path, params, strategies,
             noise_norm=realization.eps_wnorm, truth=truth, refine=False,
         )
         l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*truth)
+        picks = {name: report.chosen_index for name, report in reports.items()}
 
         # every grid lambda for the curves, else the chosen ones (grid values:
         # no refinement here)
-        columns = range(params.t_max) if emit_curves else sorted(
-            {report.chosen_index for report in reports.values()}
-        )
+        columns = range(params.t_max) if emit_curves else sorted(set(picks.values()))
         uniform = uniform_error_curve(path, params.lambdas[list(columns)], *truth)
         uniform_at = dict(zip(columns, uniform.tolist()))
-
-        # a failed strategy keeps None entries
-        chosen, chosen_index, l2_by, uniform_by = ({name: None for name in strategies} for _ in range(4))
-        for strategy, report in reports.items():
-            idx = chosen_index[strategy] = report.chosen_index
-            chosen[strategy] = report.chosen_lambda
-            l2_by[strategy] = float(l2_curve[idx])
-            uniform_by[strategy] = uniform_at[idx]
         rows.append(
             SweepRow(
                 snr_db=float(snr_db),
                 row_seed=row_seed,
-                eps_wnorm=realization.eps_wnorm,
-                eps_sup=realization.eps_sup,
-                chosen=chosen,
-                chosen_index=chosen_index,
-                l2=l2_by,
-                uniform=uniform_by,
-                messages=messages,
+                reports=reports,
+                failures=failures,
+                l2={name: float(l2_curve[idx]) for name, idx in picks.items()},
+                uniform={name: uniform_at[idx] for name, idx in picks.items()},
                 curve=(l2_curve, uniform) if emit_curves else None,
             )
         )
-    return SweepReport(
-        function_name=name,
-        n_points=grid.n_points,
-        degree=degree,
-        exponent_s=float(exponent_s),
-        seed=int(seed),
-        params=params,
-        eval_points=int(eval_points),
-        rows=tuple(rows),
-    )
+    return tuple(rows)

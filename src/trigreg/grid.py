@@ -97,7 +97,7 @@ def harmonic_indices(degree: int) -> list[tuple[int, int]]:
     return list(zip(*(a.tolist() for a in mode_layout(degree))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrapezoidalGrid:
     """Equidistant nodes on [-pi, pi) with the uniform weight 2*pi/N."""
 
@@ -166,7 +166,7 @@ def weighted_norm(v, grid: TrapezoidalGrid) -> float:
     return float(np.sqrt(discrete_inner(v, v, grid)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierCoefficients:
     """Coefficients of a trigonometric polynomial in the orthonormal basis.
 

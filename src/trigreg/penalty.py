@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltySequence:
     """One weight per frequency, ``beta[ell]`` for ell = 0..degree >= 0, kept
     as a read-only float copy.  Any other count (a per-mode array of

@@ -63,7 +63,7 @@ class InapplicableStrategyError(SelectionError):
     (e.g. a noise norm Morozov cannot meet, or nothing to penalize)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterGrid:
     """Geometric candidate grid lambda_k = zeta0 * q**k, k = 1..t_max (decreasing)."""
 
@@ -94,7 +94,7 @@ def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400)
     return ParameterGrid(zeta0=float(zeta0), q=float(q), t_max=int(t_max), lambdas=lambdas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionReport:
     """Outcome of one strategy: the chosen parameter plus per-lambda diagnostics.
 
@@ -143,7 +143,7 @@ def _paired(coeffs: np.ndarray) -> np.ndarray:
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizationPath:
     """Closed-form diagnostics of the regularized solve along a lambda path.
 
@@ -542,11 +542,14 @@ def run_strategies(path: RegularizationPath, params: ParameterGrid, names, **inp
     and ``truth``, the oracle's :func:`~trigreg.grid.uniform_rfft` pair of
     the true function on the evaluation grid.  Returns ``(reports,
     failures)``: the report of each strategy that chose a lambda, and the
-    message of each that raised a :class:`SelectionError`.
+    message of each that raised a :class:`SelectionError`.  The path must
+    run over ``params.lambdas``; a path over any other lambdas is refused.
     """
     unknown = [name for name in names if name not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
+    if not np.array_equal(path.lambdas, params.lambdas):
+        raise ValueError("the path does not run over params.lambdas, the grid every strategy picks from")
     reports, failures = {}, {}
     for name in names:
         strategy = STRATEGIES[name]

@@ -136,7 +136,7 @@ def test_06_discrepancy_principle_root_and_regularity(
 
     # (b) on the noisy f1 run the discrepancy has exactly one sign change
     clean = tr.gallery("f1")(big_grid.nodes)
-    row20 = level_sweep.rows[1]
+    row20 = level_sweep[1]
     real20 = tr.add_noise_snr(clean, 20.0, row20.row_seed)
     scan = tr.select_morozov(
         real20.noisy, big_grid, 250, big_penalty, params, real20.eps_wnorm, refine=False
@@ -147,15 +147,15 @@ def test_06_discrepancy_principle_root_and_regularity(
     # (c) regularity: at every level the chosen fit stays within
     # sqrt(2*pi*(2L+1)) * sup|eps| of the unregularized fit, uniformly
     x = tr.uniform_eval_points(10000)
-    for row in level_sweep.rows:
+    for row in level_sweep:
         real = tr.add_noise_snr(clean, row.snr_db, row.row_seed)
-        chosen = tr.solve(real.noisy, big_grid, 250, row.chosen["morozov"], big_penalty)
+        chosen = tr.solve(real.noisy, big_grid, 250, row.reports["morozov"].chosen_lambda, big_penalty)
         raw = tr.solve(real.noisy, big_grid, 250, 0.0, big_penalty)
         drift = float(np.max(np.abs(chosen(x) - raw(x))))
         assert drift <= math.sqrt(2 * np.pi * 501) * real.eps_sup
     print(
         f"PASS discrepancy principle: root error {root_error:.2e} <= 1e-08, "
-        f"{changes} sign change, regularity bound at {len(level_sweep.rows)} levels"
+        f"{changes} sign change, regularity bound at {len(level_sweep)} levels"
     )
 
 
@@ -202,9 +202,8 @@ def test_09_denoising_beats_raw_fit_within_oracle_factor():
     """Every automatic strategy lands in the useful part of the U-shaped
     error curve on the noisy f1 benchmark."""
     t0 = time.perf_counter()
-    report = tr.sweep("f1", 501, snr_levels=(20.0,), seed=SEED, emit_curves=True)
+    (row,) = tr.sweep("f1", 501, snr_levels=(20.0,), seed=SEED, emit_curves=True)
     elapsed = time.perf_counter() - t0
-    row = report.rows[0]
     l2_curve, _ = row.curve
     floor_error = l2_curve[-1]  # near-zero regularization
     oracle_error = row.l2["oracle"]
@@ -225,21 +224,20 @@ def test_10_chosen_lambda_tracks_noise_level(big_grid, big_penalty, params, leve
     """More signal-to-noise means weaker smoothing: the discrepancy choice
     decays monotonically (within one grid step) and every strategy keeps
     producing an in-grid choice with full diagnostics."""
-    indices = [row.chosen_index["morozov"] for row in level_sweep.rows]
+    indices = [row.reports["morozov"].chosen_index for row in level_sweep]
     # lambda nonincreasing within one grid step == index nondecreasing - 1
     assert all(b >= a - 1 for a, b in zip(indices, indices[1:]))
-    assert level_sweep.rows[-1].chosen["morozov"] <= 1e-4
+    assert level_sweep[-1].reports["morozov"].chosen_lambda <= 1e-4
 
     lo, hi = params.lambdas[-1], params.lambdas[0]
-    for row in level_sweep.rows:
-        assert row.messages == {}
+    for row in level_sweep:
+        assert row.failures == {}
         for name in ("oracle", "lcurve", "morozov", "gcv"):
-            assert row.chosen[name] is not None
-            assert lo <= row.chosen[name] <= hi
+            assert lo <= row.reports[name].chosen_lambda <= hi
 
     # one direct run per strategy to confirm the diagnostics all come out
     clean = tr.gallery("f1")(big_grid.nodes)
-    row20 = level_sweep.rows[1]
+    row20 = level_sweep[1]
     real = tr.add_noise_snr(clean, 20.0, row20.row_seed)
     mor = tr.select_morozov(
         real.noisy, big_grid, 250, big_penalty, params, real.eps_wnorm, refine=False
@@ -256,7 +254,7 @@ def test_10_chosen_lambda_tracks_noise_level(big_grid, big_penalty, params, leve
     ):
         assert arr is not None and arr.shape == params.lambdas.shape
         assert np.all(np.isfinite(arr))
-    lam80 = level_sweep.rows[-1].chosen["morozov"]
+    lam80 = level_sweep[-1].reports["morozov"].chosen_lambda
     print(
         f"PASS noise tracking: discrepancy lambda nonincreasing across "
         f"{len(indices)} levels, lambda(80 dB) = {lam80:.3e} <= 1e-04, "

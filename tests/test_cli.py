@@ -308,6 +308,36 @@ def test_flag_prefix_is_config_error(tmp_path, capsys, prefix, value):
     assert not (tmp_path / "coefficients.csv").exists()
 
 
+LAMBDA_IGNORED = "error: config-error: --lambda applies only to --strategy manual\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("approximate", "--gallery", "f1", "--n", "21", "--strategy", "gcv"),
+        ("approximate", "--input", "absent.csv", "--strategy", "gcv"),
+        ("select", "--gallery", "f1", "--n", "21"),
+        ("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "20"),
+    ],
+    ids=["approximate-gcv", "approximate-input", "select", "sweep"],
+)
+def test_lambda_without_manual_strategy_is_config_error(tmp_path, capsys, argv):
+    # approximate --strategy gcv --lambda 0.3 used to fit at the GCV lambda and
+    # ignore --lambda; the refusal comes before any input is read
+    outdir = tmp_path / "out"
+    assert run_cli(*argv, "--lambda", "0.3", "--output-dir", str(outdir)) == 2
+    assert capsys.readouterr().err == LAMBDA_IGNORED
+    assert not outdir.exists()
+
+
+def test_lambda_from_a_config_file_needs_the_manual_strategy(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"lambda": 0.3, "strategy": "gcv"}))
+    assert run_cli("approximate", "--config", str(cfg_path), "--gallery", "f1", "--n", "21",
+                   "--output-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == LAMBDA_IGNORED
+
+
 def test_approximate_morozov_needs_noise_size(tmp_path, capsys):
     code = run_cli(
         "approximate", "--gallery", "f1", "--n", "21", "--strategy", "morozov",
@@ -459,6 +489,19 @@ def test_input_csv_missing_file_is_io_error(tmp_path, capsys):
     code = run_cli("approximate", "--input", str(tmp_path / "absent.csv"),
                    "--lambda", "0.0", "--output-dir", str(tmp_path))
     assert code == 6
+
+
+@pytest.mark.parametrize("command", ["approximate", "select"])
+def test_snr_db_with_input_is_config_error(tmp_path, capsys, command):
+    # select --input F --snr-db 20 used to add no noise yet record "# snr_db: 20.0";
+    # the file is absent, so the refusal comes before any input is read
+    outdir = tmp_path / "out"
+    code = run_cli(command, "--input", str(tmp_path / "absent.csv"), "--snr-db", "20",
+                   "--strategy", "gcv", "--output-dir", str(outdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: config-error: --snr-db needs --gallery: samples read with --input get no noise\n"
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +694,9 @@ def test_sweep_requires_gallery_and_levels(tmp_path, capsys):
     write_samples(path, g.nodes, np.sin(g.nodes))
     assert run_cli("sweep", "--input", str(path), "--snr-db", "20",
                    "--output-dir", str(tmp_path)) == 2
+    # this refusal comes before the one of --snr-db without --gallery
+    assert capsys.readouterr().err.endswith(
+        "error: config-error: sweep needs a --gallery signal (the true function)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -226,49 +226,51 @@ def small_sweep():
 
 
 def test_sweep_report_shape(small_sweep):
-    rep = small_sweep
-    assert rep.function_name == "f1"
-    assert rep.n_points == 51
-    assert rep.degree == 25
-    assert [row.snr_db for row in rep.rows] == [20.0, 40.0]
-    for row in rep.rows:
-        assert set(row.chosen) == {"oracle", "lcurve", "morozov", "gcv"}
-        assert row.messages == {}
-        for name, lam in row.chosen.items():
-            assert rep.params.lambdas[-1] <= lam <= rep.params.lambdas[0]
+    lambdas = tr.parameter_grid().lambdas
+    assert isinstance(small_sweep, tuple)
+    assert [row.snr_db for row in small_sweep] == [20.0, 40.0]
+    for row in small_sweep:
+        assert list(row.reports) == ["morozov", "lcurve", "gcv", "oracle"]
+        assert row.failures == {}
+        assert row.l2.keys() == row.uniform.keys() == row.reports.keys()
+        for name, report in row.reports.items():
+            assert report.strategy == name
+            assert lambdas[-1] <= report.chosen_lambda <= lambdas[0]
             assert row.l2[name] > 0
             assert row.uniform[name] > 0
 
 
 def test_sweep_is_reproducible(small_sweep):
     again = tr.sweep("f1", 51, snr_levels=(20.0, 40.0), seed=3, eval_points=2000)
-    for row, row2 in zip(small_sweep.rows, again.rows):
+    for row, row2 in zip(small_sweep, again):
         assert row.row_seed == row2.row_seed
-        assert row.chosen == row2.chosen
+        for name, report in row.reports.items():
+            assert report.chosen_lambda == row2.reports[name].chosen_lambda
         assert row.l2 == row2.l2
 
 
 def test_sweep_rows_use_distinct_derived_seeds(small_sweep):
-    seeds = [row.row_seed for row in small_sweep.rows]
+    seeds = [row.row_seed for row in small_sweep]
     assert len(set(seeds)) == len(seeds)
     other = tr.sweep("f1", 51, snr_levels=(20.0,), seed=4, eval_points=2000)
-    assert other.rows[0].row_seed != seeds[0]
+    assert other[0].row_seed != seeds[0]
 
 
 def test_sweep_morozov_choice_stays_on_grid(small_sweep):
-    for row in small_sweep.rows:
-        assert row.chosen["morozov"] in small_sweep.params.lambdas
-        assert row.chosen["morozov"] is not None
+    for row in small_sweep:
+        report = row.reports["morozov"]
+        assert not report.refined
+        assert report.chosen_lambda == tr.parameter_grid().lambdas[report.chosen_index]
 
 
 def test_sweep_rows_match_the_selectors():
     """Every sweep pick equals the select_* pick on the same realization."""
     func = tr.gallery("sawtooth")
-    rep = tr.sweep(func, 51, snr_levels=(10.0, 40.0, 70.0), seed=5, eval_points=2000)
+    rows = tr.sweep(func, 51, snr_levels=(10.0, 40.0, 70.0), seed=5, eval_points=2000)
     g, degree = tr.make_grid(51), 25
-    pen, params = tr.laplace_penalty(degree), rep.params
+    pen, params = tr.laplace_penalty(degree), tr.parameter_grid()
     clean = func(g.nodes)
-    for row in rep.rows:
+    for row in rows:
         noisy = tr.add_noise_snr(clean, row.snr_db, row.row_seed)
         y = noisy.noisy
         expected = {
@@ -278,35 +280,34 @@ def test_sweep_rows_match_the_selectors():
             "oracle": tr.select_oracle(y, g, degree, pen, params, func, 2000),
         }
         for name, report in expected.items():
-            assert row.chosen_index[name] == report.chosen_index, (row.snr_db, name)
+            assert row.reports[name].chosen_index == report.chosen_index, (row.snr_db, name)
 
 
 def test_sweep_accepts_callable_and_subset_of_strategies():
-    rep = tr.sweep(
+    rows = tr.sweep(
         np.cos, 21, snr_levels=(30.0,), strategies=("oracle",), seed=1, eval_points=1000
     )
-    assert rep.function_name == "cos"
-    assert set(rep.rows[0].chosen) == {"oracle"}
+    assert list(rows[0].reports) == ["oracle"]
 
 
 def test_sweep_emit_curves_shapes():
-    rep = tr.sweep(
+    rows = tr.sweep(
         "f1", 21, snr_levels=(20.0,), seed=2, eval_points=1000, emit_curves=True,
         params=tr.parameter_grid(t_max=50),
     )
-    l2_curve, uniform_curve = rep.rows[0].curve
+    l2_curve, uniform_curve = rows[0].curve
     assert l2_curve.shape == (50,)
     assert uniform_curve.shape == (50,)
     # the oracle row is the argmin of the emitted curve
-    assert rep.rows[0].chosen_index["oracle"] == int(np.argmin(l2_curve))
+    assert rows[0].reports["oracle"].chosen_index == int(np.argmin(l2_curve))
 
 
-def _sweep_path(func, rep, row):
-    """The regularization path ``sweep`` built for ``row`` (default s)."""
-    grid, degree = tr.make_grid(rep.n_points), rep.degree
+def _sweep_path(func, n, params, row):
+    """The regularization path ``sweep`` built for ``row`` on n points (default s)."""
+    grid, degree = tr.make_grid(n), (n - 1) // 2
     noisy = tr.add_noise_snr(func(grid.nodes), row.snr_db, row.row_seed).noisy
     return tr.RegularizationPath.from_samples(
-        noisy, grid, degree, tr.laplace_penalty(degree), rep.params.lambdas
+        noisy, grid, degree, tr.laplace_penalty(degree), params.lambdas
     )
 
 
@@ -317,12 +318,13 @@ def test_sweep_uniform_curve_matches_dense_evaluation(name, k):
     # with the basis matrix, minus f, max-abs per column; T = 100 is no
     # multiple of the sweep's block of lambdas, so the last block is partial
     func = tr.gallery(name)
-    rep = tr.sweep(name, 101, snr_levels=(20.0, 60.0), eval_points=k, emit_curves=True,
-                   params=tr.parameter_grid(t_max=100))
+    params = tr.parameter_grid(t_max=100)
+    rows = tr.sweep(name, 101, snr_levels=(20.0, 60.0), eval_points=k, emit_curves=True,
+                    params=params)
     x = tr.uniform_eval_points(k)
     basis = tr.basis_matrix(x, 50)
-    for row in rep.rows:
-        diff = basis @ _sweep_path(func, rep, row).alpha() - func(x)[:, None]
+    for row in rows:
+        diff = basis @ _sweep_path(func, 101, params, row).alpha() - func(x)[:, None]
         assert_allclose(row.curve[1], np.abs(diff).max(axis=0), rtol=0, atol=1e-12)
 
 
@@ -331,10 +333,10 @@ def test_sweep_uniform_at_chosen_equals_the_curve(name):
     levels = (10.0, 50.0, 80.0)
     curves = tr.sweep(name, 101, snr_levels=levels, emit_curves=True)
     chosen = tr.sweep(name, 101, snr_levels=levels)
-    for with_curve, row in zip(curves.rows, chosen.rows):
+    for with_curve, row in zip(curves, chosen):
         assert row.curve is None
-        for strategy, idx in row.chosen_index.items():
-            assert row.uniform[strategy] == with_curve.curve[1][idx]
+        for strategy, report in row.reports.items():
+            assert row.uniform[strategy] == with_curve.curve[1][report.chosen_index]
 
 
 def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
@@ -349,13 +351,13 @@ def test_sweep_takes_the_truth_from_one_rfft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     levels = (10.0, 40.0, 70.0)
-    rep = tr.sweep("f1", 101, snr_levels=levels, emit_curves=True)
+    rows = tr.sweep("f1", 101, snr_levels=levels, emit_curves=True)
     assert sorted(calls) == [101] * len(levels) + [10000]
     monkeypatch.undo()
     truth = tr.gallery("f1")(tr.uniform_eval_points(10000))
     spectrum, k = tr.uniform_rfft(truth)
-    for row in rep.rows:
-        path = _sweep_path(tr.gallery("f1"), rep, row)
+    for row in rows:
+        path = _sweep_path(tr.gallery("f1"), 101, tr.parameter_grid(), row)
         assert np.array_equal(row.curve[0], path.l2_error(spectrum, k))
         assert np.array_equal(row.curve[1], tr.uniform_error_curve(path, path.lambdas, spectrum, k))
 
@@ -369,6 +371,53 @@ def test_sweep_refuses_an_evaluation_grid_below_the_floor():
 def test_sweep_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strateg"):
         tr.sweep("f1", 21, snr_levels=(20.0,), strategies=("ridge",), seed=1)
+
+
+def test_sweep_rows_keep_what_run_strategies_returned(monkeypatch):
+    # the sine's noise norm at -20 dB exceeds its centered norm, so Morozov fails
+    returned, run_strategies = [], experiment.run_strategies
+
+    def recorded(*args, **kwargs):
+        returned.append(run_strategies(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(experiment, "run_strategies", recorded)
+    rows = tr.sweep("sine", 21, snr_levels=(-20.0, 20.0), eval_points=1000)
+    assert len(rows) == len(returned) == 2
+    for row, (reports, failures) in zip(rows, returned):
+        assert row.reports is reports and row.failures is failures
+        assert row.l2.keys() == row.uniform.keys() == reports.keys()
+    assert list(rows[0].failures) == ["morozov"]
+    assert list(rows[0].reports) == ["lcurve", "gcv", "oracle"]
+    assert rows[1].failures == {}
+
+
+def _small_path():
+    g = tr.make_grid(21)
+    noisy = tr.add_noise_snr(np.exp(np.cos(g.nodes)), 20.0, 0).noisy
+    return tr.RegularizationPath.from_samples(noisy, g, 10, tr.laplace_penalty(10), tr.parameter_grid().lambdas)
+
+
+# one builder per frozen type that holds an ndarray
+ARRAY_HOLDING_TYPES = {
+    "TrapezoidalGrid": lambda: tr.make_grid(5),
+    "FourierCoefficients": lambda: tr.solve(np.ones(5), tr.make_grid(5), 2, 0.1, tr.laplace_penalty(2)),
+    "PenaltySequence": lambda: tr.laplace_penalty(3),
+    "ParameterGrid": tr.parameter_grid,
+    "RegularizationPath": _small_path,
+    "SelectionReport": lambda: tr.run_strategies(_small_path(), tr.parameter_grid(), ["gcv"])[0]["gcv"],
+    "NoisyRealization": lambda: tr.add_noise_snr(np.ones(5), 20.0, 0),
+    "SweepRow": lambda: tr.sweep("f1", 21, snr_levels=(20.0,), eval_points=1000)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDING_TYPES))
+def test_array_holding_types_compare_and_hash_by_identity(name):
+    # generated field-wise == and hash raised on the arrays
+    first, second = ARRAY_HOLDING_TYPES[name](), ARRAY_HOLDING_TYPES[name]()
+    assert type(first).__name__ == name
+    assert first == first and {first} == {first}
+    assert first != second and len({first, second}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,23 @@ def test_run_strategies_refuses_infinite_noise_norm(single_mode):
         tr.run_strategies(path, params, ["morozov"], noise_norm=math.inf)
 
 
+def test_run_strategies_refuses_a_path_over_other_lambdas():
+    # each objective is computed on path.lambdas and the pick read from
+    # params.lambdas: on this row, a default-grid path with a zeta0 = 1e-3
+    # grid used to return GCV 1.95e-6 where its minimum sits at 1.95e-3
+    g = tr.make_grid(101)
+    real = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0)
+    pen, params = tr.laplace_penalty(50), tr.parameter_grid()
+    path = tr.RegularizationPath.from_samples(real.noisy, g, 50, pen, params.lambdas)
+    names = ["morozov", "lcurve", "gcv"]
+    with pytest.raises(ValueError, match=r"^the path does not run over params\.lambdas"):
+        tr.run_strategies(path, tr.parameter_grid(zeta0=1e-3), names, noise_norm=real.eps_wnorm)
+    # an equal grid built apart is the same grid
+    reports, _ = tr.run_strategies(path, tr.parameter_grid(), names, noise_norm=real.eps_wnorm)
+    assert reports["gcv"].chosen_lambda == tr.select_gcv(real.noisy, g, 50, pen, params).chosen_lambda
+    assert reports["gcv"].chosen_lambda == pytest.approx(1.95e-3, rel=1e-2)
+
+
 def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be >= 0"):
