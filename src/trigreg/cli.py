@@ -12,7 +12,10 @@ stderr; categories and exit codes are listed in README.md.
 
 The :data:`OPTIONS` table is the one definition of the flags: the parser is
 built from it, and a ``--config`` file's values are parsed as flags, so a
-config value means exactly what its flag means.
+config value means exactly what its flag means.  :func:`validate_config`
+then resolves the command (its noise levels, strategies, parameter grid,
+gallery signal and missing strategy inputs) before any input is read, so
+every config-error comes before an input fault.
 
 The polynomial degree is always tied to the sample count as
 degree = (N - 1)/2, the interpolatory setting.
@@ -178,6 +181,9 @@ def build_config(argv) -> argparse.Namespace:
 
 
 def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
+    """Check the flags and resolve the command before any input is read: set
+    ``levels``, ``names`` (the strategies), ``params`` (the grid), ``func``
+    (the gallery function or None) and ``missing`` (the inputs not supplied)."""
     if (cfg.gallery is None) == (cfg.input is None):
         raise CliError("config-error", "exactly one of --gallery or --input is required")
     if cfg.gallery is None and cfg.command == "sweep":
@@ -191,34 +197,60 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
     # a ValueError is a config-error
     if cfg.lam is not None:
         _require_nonnegative(cfg.lam, "--lambda")
-        if _parse_strategies(cfg) != ["manual"]:
-            raise CliError("config-error", "--lambda applies only to --strategy manual")
     if cfg.noise_norm is not None:
         _require_nonnegative(cfg.noise_norm, "--noise-norm")
     _require_nonnegative(cfg.seed, "--seed")
     _require_eval_points(cfg.eval_points, "--eval-points")
     _require_positive(cfg.s, "--s")
     _require_positive(cfg.zeta0, "--zeta0")
-    parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)  # its refusals come before any input is read
+    cfg.levels = _parse_levels(cfg.snr_db, cfg.command)
+    cfg.names = _parse_strategies(cfg)
+    if cfg.lam is not None and cfg.names != ["manual"]:
+        raise CliError("config-error", "--lambda applies only to --strategy manual")
+    cfg.params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
+    cfg.func = None if cfg.gallery is None else gallery(cfg.gallery)
+    supplied = {"noise_norm": cfg.noise_norm is not None or bool(cfg.levels), "truth": cfg.func is not None}
+    needs = {name: STRATEGIES[name].needs for name in cfg.names if name in STRATEGIES}
+    cfg.missing = {name: _MISSING_INPUT[need] for name, need in needs.items() if need and not supplied[need]}
+    if cfg.missing and len(cfg.names) == 1:
+        raise CliError("config-error", cfg.missing[cfg.names[0]])
     return cfg
 
 
-def _parse_levels(text: str) -> list[float]:
-    """'20' -> [20]; '10,20' -> [10, 20]; '10:80:10' -> [10, 20, ..., 80]."""
-    text = text.strip()
+def _parse_levels(text: str | None, command: str | None = None) -> list[float]:
+    """'20' -> [20]; '10,20' -> [10, 20]; '10:80:10' -> [10, 20, ..., 80].
+
+    A range needs a finite start and stop and a finite step > 0.  Given a
+    ``command``, its rules are checked too, a range's count before its list
+    is built: sweep needs at least one level and no repeats, approximate and
+    select take at most one.
+    """
+    if command == "sweep" and not text:
+        raise CliError("config-error", "sweep needs --snr-db (e.g. '10:80:10')")
+    text = (text or "").strip()
     try:
         if ":" in text:
-            parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3 or parts[2] <= 0:
+            start, stop, step = (float(p) for p in text.split(":"))
+            span = (stop - start) / step + 1e-9
+            if not (0 < step < math.inf and 0 <= span < math.inf):  # NaN fails both
                 raise ValueError
-            start, stop, step = parts
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
-                raise ValueError
-            return [start + i * step for i in range(count)]
-        return [float(p) for p in text.split(",") if p.strip()]
+            count = math.floor(span) + 1
+        else:
+            levels = [float(p) for p in text.split(",") if p.strip()]
+            count = len(levels)
     except ValueError:
         raise CliError("parse-error", f"cannot parse --snr-db value {text!r}") from None
+    if command in ("approximate", "select") and count > 1:
+        raise CliError("config-error", f"{command} takes a single --snr-db value")
+    if ":" in text:
+        levels = [start + i * step for i in range(count)]
+    if command == "sweep":
+        if not levels:
+            raise CliError("config-error", "--snr-db resolved to an empty level list")
+        repeated = _first_repeat(levels)
+        if repeated is not None:
+            raise CliError("config-error", f"--snr-db names the level {_fmt(repeated)} more than once")
+    return levels
 
 
 def _first_repeat(items):
@@ -314,25 +346,20 @@ def _read_samples_csv(path: str):
     return grid, np.asarray(ys, dtype=float)
 
 
-def _prepare_input(cfg: argparse.Namespace, levels: list[float]):
-    """Resolve (grid, samples, true function or None, realization or None, label)."""
-    if cfg.gallery is not None:
-        try:
-            func = gallery(cfg.gallery)
-        except ValueError as exc:
-            raise CliError("config-error", str(exc)) from None
+def _prepare_input(cfg: argparse.Namespace):
+    """Resolve (grid, samples, noise norm or None, source label); --noise-norm wins."""
+    if cfg.func is not None:
         grid = make_grid(cfg.n)
-        clean = np.asarray(func(grid.nodes), dtype=float)
-        realization = None
-        samples = clean
-        if levels:
-            realization = add_noise_snr(clean, levels[0], cfg.seed)
-            samples = realization.noisy
-        return grid, samples, func, realization, f"gallery:{cfg.gallery}"
+        clean = np.asarray(cfg.func(grid.nodes), dtype=float)
+        if not cfg.levels:
+            return grid, clean, cfg.noise_norm, f"gallery:{cfg.gallery}"
+        realization = add_noise_snr(clean, cfg.levels[0], cfg.seed)
+        noise_norm = realization.eps_wnorm if cfg.noise_norm is None else cfg.noise_norm
+        return grid, realization.noisy, noise_norm, f"gallery:{cfg.gallery}"
     grid, samples = _read_samples_csv(cfg.input)
     if cfg.n is not None and cfg.n != grid.n_points:
         raise CliError("grid-error", f"--n {cfg.n} contradicts the {grid.n_points} samples of {cfg.input}")
-    return grid, samples, None, None, f"input:{cfg.input}"
+    return grid, samples, cfg.noise_norm, f"input:{cfg.input}"
 
 
 def _fmt(value) -> str:
@@ -416,56 +443,37 @@ def _metadata(cfg: argparse.Namespace, n_points: int, source: str, **extra) -> d
 # ---------------------------------------------------------------------------
 
 
-# What approximate and select share: the samples, the true function or None,
-# the strategy names, the one path of the samples, the strategies' reports and
-# failures (as run_strategies gives them) and the output files' metadata.
-_Scan = namedtuple("_Scan", "samples func names path reports failures meta")
+# What approximate and select share: the samples, their one path, the
+# strategies' reports and failures (run_strategies' own, plus cfg.missing)
+# and the output files' metadata.
+_Scan = namedtuple("_Scan", "samples path reports failures meta")
 
 
 def _scan(cfg: argparse.Namespace) -> _Scan:
-    """Levels -> input -> one RegularizationPath -> the named strategies.
+    """Input -> one RegularizationPath -> the named strategies.
 
-    The samples are projected once, and every strategy reads that path.
-    Failures hold the strategies whose input is missing too.  A single
-    named strategy that fails raises CliError instead: config-error when
-    its input is missing, strategy-error otherwise.
+    The samples are projected once, and every strategy reads that path.  A
+    single named strategy that fails raises a strategy-error.
     """
-    levels = _parse_levels(cfg.snr_db) if cfg.snr_db else []
-    if len(levels) > 1:
-        raise CliError("config-error", f"{cfg.command} takes a single --snr-db value")
-    grid, samples, func, realization, source = _prepare_input(cfg, levels)
-    names = _parse_strategies(cfg)
+    grid, samples, noise_norm, source = _prepare_input(cfg)
     degree = (grid.n_points - 1) // 2
-    params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
-    noise_norm = cfg.noise_norm
-    if noise_norm is None and realization is not None:
-        noise_norm = realization.eps_wnorm
     inputs = {"noise_norm": noise_norm, "truth": None}
-    if func is not None and "oracle" in names:
-        inputs["truth"] = uniform_rfft(func(uniform_eval_points(cfg.eval_points)))
-    strategies = [name for name in names if name in STRATEGIES]
-    missing = {}
-    for name in strategies:
-        need = STRATEGIES[name].needs
-        if need and inputs[need] is None:
-            missing[name] = _MISSING_INPUT[need]
-    if missing and len(names) == 1:
-        raise CliError("config-error", missing[names[0]])
+    if cfg.func is not None and "oracle" in cfg.names:
+        inputs["truth"] = uniform_rfft(cfg.func(uniform_eval_points(cfg.eval_points)))
     path = RegularizationPath.from_samples(
-        samples, grid, degree, laplace_penalty(degree, cfg.s), params.lambdas
+        samples, grid, degree, laplace_penalty(degree, cfg.s), cfg.params.lambdas
     )
-    reports, failures = run_strategies(
-        path, params, [name for name in strategies if name not in missing], **inputs
-    )
-    if failures and len(names) == 1:
-        raise CliError("strategy-error", failures[names[0]])
+    strategies = [name for name in cfg.names if name in STRATEGIES and name not in cfg.missing]
+    reports, failures = run_strategies(path, cfg.params, strategies, **inputs)
+    if failures and len(cfg.names) == 1:
+        raise CliError("strategy-error", failures[cfg.names[0]])
     meta = _metadata(
         cfg, grid.n_points, source,
-        strategy=",".join(names),
-        snr_db=levels[0] if levels else None,
+        strategy=",".join(cfg.names),
+        snr_db=cfg.levels[0] if cfg.levels else None,
         noise_norm=noise_norm,
     )
-    return _Scan(samples, func, names, path, reports, {**missing, **failures}, meta)
+    return _Scan(samples, path, reports, {**cfg.missing, **failures}, meta)
 
 
 def _write_diagnostics(outdir: str, meta: dict, run: _Scan) -> str:
@@ -498,7 +506,7 @@ def _chosen_entry(report, noise_norm):
 def cmd_approximate(cfg: argparse.Namespace) -> int:
     run = _scan(cfg)
     n, degree = run.path.n_points, run.path.coeffs.size // 2
-    strategy = run.names[0]
+    strategy = cfg.names[0]
     lam = cfg.lam if strategy == "manual" else run.reports[strategy].chosen_lambda
     alpha = run.path.alpha(lam)
     meta = {**run.meta, "chosen_lambda": lam}
@@ -528,8 +536,8 @@ def cmd_approximate(cfg: argparse.Namespace) -> int:
         f"lambda={_fmt(lam)}",
         f"max_node_residual={_fmt(node_residual)}",
     ]
-    if run.func is not None:
-        diff = values - np.asarray(run.func(x), dtype=float)
+    if cfg.func is not None:
+        diff = values - np.asarray(cfg.func(x), dtype=float)
         parts.append(f"l2_error_vs_truth={_fmt(math.sqrt(TWO_PI / x.size * float(diff @ diff)))}")
     if not np.any(run.path.coeffs):
         parts.append("zero_data=true")
@@ -552,7 +560,7 @@ def cmd_select(cfg: argparse.Namespace) -> int:
     _atomic_write(chosen_path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
     parts = ["ok", "command=select", f"source={run.meta['source']}", f"n={run.path.n_points}"]
-    for name in run.names:
+    for name in cfg.names:
         if name in chosen:
             parts.append(f"lambda_{name}={_fmt(chosen[name]['lambda'])}")
         else:
@@ -563,29 +571,19 @@ def cmd_select(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    if not cfg.snr_db:
-        raise CliError("config-error", "sweep needs --snr-db (e.g. '10:80:10')")
-    levels = _parse_levels(cfg.snr_db)
-    if not levels:
-        raise CliError("config-error", "--snr-db resolved to an empty level list")
-    repeated = _first_repeat(levels)
-    if repeated is not None:
-        raise CliError("config-error", f"--snr-db names the level {_fmt(repeated)} more than once")
-    names = _parse_strategies(cfg)
-    params = parameter_grid(cfg.zeta0, cfg.q, cfg.t_max)
     rows = sweep(
-        cfg.gallery,
+        cfg.func,
         cfg.n,
         exponent_s=cfg.s,
-        snr_levels=levels,
-        strategies=names,
+        snr_levels=cfg.levels,
+        strategies=cfg.names,
         seed=cfg.seed,
-        params=params,
+        params=cfg.params,
         eval_points=cfg.eval_points,
         emit_curves=cfg.emit_curves,
     )
 
-    meta = _metadata(cfg, cfg.n, f"gallery:{cfg.gallery}", strategy=",".join(names), snr_db=cfg.snr_db)
+    meta = _metadata(cfg, cfg.n, f"gallery:{cfg.gallery}", strategy=",".join(cfg.names), snr_db=cfg.snr_db)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     columns = [[row.snr_db for row in rows]]
@@ -609,7 +607,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
                 curve_path,
                 {**meta, "snr_db": level, "row_seed": row.row_seed},
                 ["lambda", "l2_error", "uniform_error"],
-                [params.lambdas, l2_curve, uniform_curve],
+                [cfg.params.lambdas, l2_curve, uniform_curve],
             )
             outputs.append(curve_path)
 
@@ -618,8 +616,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         "command=sweep",
         f"source=gallery:{cfg.gallery}",
         f"n={cfg.n}",
-        f"levels={len(levels)}",
-        f"strategies={','.join(names)}",
+        f"levels={len(cfg.levels)}",
+        f"strategies={','.join(cfg.names)}",
         f"failed_cells={sum(len(row.failures) for row in rows)}",
         "files=" + ",".join(outputs),
     ]

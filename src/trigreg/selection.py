@@ -84,12 +84,15 @@ def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400)
         raise ValueError(f"ratio q must lie strictly between 0 and 1, got {q}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    lambdas = zeta0 * np.power(float(q), np.arange(1, int(t_max) + 1, dtype=float))
-    if lambdas[-1] < np.finfo(float).tiny:
+    # the last grid value, from the array power loop that builds the grid (a
+    # scalar power may differ from it in the last bit), before t_max are built
+    smallest = zeta0 * np.power(float(q), np.array([float(t_max)]))[0]
+    if smallest < np.finfo(float).tiny:
         raise ValueError(
-            f"parameter grid underflows: zeta0*q**t_max = {float(lambdas[-1])!r} with zeta0={zeta0}, "
+            f"parameter grid underflows: zeta0*q**t_max = {float(smallest)!r} with zeta0={zeta0}, "
             f"q={q}, t_max={t_max} is below the smallest normal float {float(np.finfo(float).tiny)!r}"
         )
+    lambdas = zeta0 * np.power(float(q), np.arange(1, int(t_max) + 1, dtype=float))
     lambdas.flags.writeable = False
     return ParameterGrid(zeta0=float(zeta0), q=float(q), t_max=int(t_max), lambdas=lambdas)
 

@@ -127,6 +127,14 @@ def test_approximate_diagnostics_table_layout(tmp_path):
         (("approximate", "--gallery", "f1", "--n", "21", "--strategy", "all"), 2),
         (("approximate", "--n", "21", "--lambda", "0.1"), 2),
         (("approximate", "--gallery", "f1", "--n", "21", "--snr-db", "abc"), 3),
+        # a range's non-finite start, stop, step or count used to end in an
+        # OverflowError traceback or the level nan
+        (("select", "--gallery", "f1", "--n", "21", "--snr-db", "0:inf:1"), 3),
+        (("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "0:1e12:1e-300"), 3),
+        (("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "10:20:inf"), 3),
+        (("sweep", "--gallery", "f1", "--n", "21", "--snr-db=-inf:20:1"), 3),
+        # refused from the range's count, before its 10**9 levels are built
+        (("select", "--gallery", "f1", "--n", "21", "--snr-db", "0:1e9:1"), 2),
     ],
 )
 def test_approximate_config_failures(tmp_path, capsys, argv, code):
@@ -197,7 +205,9 @@ def test_overflowing_config_number_is_config_error(tmp_path, capsys, key, number
 @pytest.mark.parametrize("flags, message", [
     (("--n", "1001", "--s", "60"), "smoothness exponent s = 60.0 is too steep for degree 500"),
     (("--n", "101", "--q", "0.5", "--t-max", "1100"), "parameter grid underflows: zeta0*q**t_max = 0.0"),
-], ids=["penalty", "grid"])
+    # it used to try to allocate the 10**12 grid values first
+    (("--n", "101", "--t-max", "1000000000000"), "parameter grid underflows: zeta0*q**t_max = 0.0"),
+], ids=["penalty", "grid", "huge-t-max"])
 def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, message):
     # both used to print ok, with picks from NaN or zero-lambda diagnostics
     argv = ("select", "--gallery", "f1", "--snr-db", "20", *flags, "--output-dir", str(tmp_path))
@@ -206,11 +216,31 @@ def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, m
     assert not (tmp_path / "chosen.json").exists()
 
 
-def test_grid_is_checked_before_the_input_is_read(tmp_path, capsys):
-    # an underflowing grid with a missing --input file used to exit 6 (io-error)
-    argv = ("select", "--input", str(tmp_path / "missing.csv"), "--q", "0.5", "--t-max", "1100")
-    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("error: config-error: parameter grid underflows")
+MISSING_FILE = ("--input", "missing.csv")
+
+
+# each used to exit 6 (io-error) on the missing --input file, but the last
+# case, whose runs both name a bad gallery and a bad strategy, which select
+# used to report as the gallery and sweep as the strategy
+@pytest.mark.parametrize("runs, message", [
+    ([("select", *MISSING_FILE, "--strategy", "bogus")], "unknown strategy 'bogus'"),
+    ([("select", *MISSING_FILE, "--strategy", "oracle")], "oracle strategy needs a --gallery truth signal"),
+    ([("select", *MISSING_FILE, "--strategy", "morozov")], "morozov needs the noise size"),
+    ([("approximate", *MISSING_FILE, "--strategy", "manual")], "--strategy manual needs --lambda"),
+    ([("approximate", *MISSING_FILE, "--strategy", "gcv,lcurve")], "approximate takes a single --strategy"),
+    ([("select", *MISSING_FILE, "--strategy", "gcv,gcv")], "--strategy names 'gcv' more than once"),
+    ([("select", *MISSING_FILE, "--q", "0.5", "--t-max", "1100")], "parameter grid underflows"),
+    ([("select", "--gallery", "nope", "--n", "21", "--strategy", "bogus"),
+      ("sweep", "--gallery", "nope", "--n", "21", "--snr-db", "20", "--strategy", "bogus")],
+     "unknown strategy 'bogus'"),
+], ids=["unknown-strategy", "oracle", "morozov", "manual", "two-strategies", "repeat", "grid",
+        "gallery-and-strategy"])
+def test_config_is_checked_before_the_input_is_read(tmp_path, capsys, monkeypatch, runs, message):
+    monkeypatch.chdir(tmp_path)
+    for argv in runs:
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -751,7 +781,7 @@ OPTION_CASES = {
     "--input": (("select",), "a.csv", "a.csv", "b.csv"),
     "--n": (("select", "--gallery", "f1"), "31", 31, "41"),
     "--strategy": (GALLERY_RUN, "gcv,oracle", "gcv,oracle", "lcurve"),
-    "--snr-db": (GALLERY_RUN, "10:30:10", "10:30:10", "20"),
+    "--snr-db": (("sweep", "--gallery", "f1", "--n", "21"), "10:30:10", "10:30:10", "20"),
     "--seed": (GALLERY_RUN, "7", 7, "8"),
     "--lambda": (("approximate", "--gallery", "f1", "--n", "21"), "0.25", 0.25, "0.5"),
     "--s": (GALLERY_RUN, "2", 2, "3"),
@@ -761,13 +791,14 @@ OPTION_CASES = {
     "--eval-points": (GALLERY_RUN, "2000", 2000, "3000"),
     "--noise-norm": (GALLERY_RUN, "0.05", 0.05, "0.1"),
     "--output-dir": (GALLERY_RUN, "out", "out", "other"),
-    "--emit-curves": (("sweep", "--gallery", "f1", "--n", "21"), None, True, None),
+    "--emit-curves": (("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "20"), None, True, None),
 }
 
 
 def _parsed(argv):
     cfg = vars(cli.build_config(argv))
     cfg.pop("config")
+    cfg["params"] = cfg["params"].lambdas.tolist()  # a ParameterGrid compares by identity
     return cfg
 
 
