@@ -220,10 +220,11 @@ def validate_config(cfg: argparse.Namespace) -> argparse.Namespace:
 def _parse_levels(text: str | None, command: str | None = None) -> list[float]:
     """'20' -> [20]; '10,20' -> [10, 20]; '10:80:10' -> [10, 20, ..., 80].
 
-    A range needs a finite start and stop and a finite step > 0.  Given a
+    Every number must be finite, and a range's step > 0.  Given a
     ``command``, its rules are checked too, a range's count before its list
     is built: sweep needs at least one level and no repeats, approximate and
-    select take at most one.
+    select take at most one.  A range whose list does not fit in memory is
+    a config-error.
     """
     if command == "sweep" and not text:
         raise CliError("config-error", "sweep needs --snr-db (e.g. '10:80:10')")
@@ -237,13 +238,19 @@ def _parse_levels(text: str | None, command: str | None = None) -> list[float]:
             count = math.floor(span) + 1
         else:
             levels = [float(p) for p in text.split(",") if p.strip()]
+            if not all(map(math.isfinite, levels)):
+                raise ValueError
             count = len(levels)
     except ValueError:
         raise CliError("parse-error", f"cannot parse --snr-db value {text!r}") from None
     if command in ("approximate", "select") and count > 1:
         raise CliError("config-error", f"{command} takes a single --snr-db value")
     if ":" in text:
-        levels = [start + i * step for i in range(count)]
+        try:
+            levels = [start + i * step for i in range(count)]
+        except MemoryError:
+            message = f"--snr-db {text!r} names {count} levels, more than fit in memory"
+            raise CliError("config-error", message) from None
     if command == "sweep":
         if not levels:
             raise CliError("config-error", "--snr-db resolved to an empty level list")
@@ -477,15 +484,17 @@ def _scan(cfg: argparse.Namespace) -> _Scan:
 
 
 def _write_diagnostics(outdir: str, meta: dict, run: _Scan) -> str:
-    """Merge per-strategy columns into the fixed lambda,J,K,kappa,V,F table."""
-    columns = {key: None for key in ("residual_sq", "penalty_sq", "curvature", "gcv", "discrepancy")}
-    for report in run.reports.values():
-        for key in columns:
-            if columns[key] is None:
-                columns[key] = getattr(report, key)
+    """Write the path's lambda,J,K,kappa,V,F table.  A column is filled only
+    when a strategy that reads it chose a lambda: J when Morozov or the
+    L-curve did, K and kappa when the L-curve did, and V and F are the GCV
+    and Morozov objectives."""
+    lcurve = "lcurve" in run.reports
+    objective = {name: report.objective for name, report in run.reports.items()}
+    columns = [run.path.residual_sq() if lcurve or "morozov" in run.reports else None,
+               run.path.penalty_sq() if lcurve else None, run.path.curvature() if lcurve else None,
+               objective.get("gcv"), objective.get("morozov")]
     path = os.path.join(outdir, "diagnostics.csv")
-    _write_csv(path, meta, ["lambda", "J", "K", "kappa", "V", "F"],
-               [run.path.lambdas, *columns.values()])
+    _write_csv(path, meta, ["lambda", "J", "K", "kappa", "V", "F"], [run.path.lambdas, *columns])
     return path
 
 

@@ -372,7 +372,7 @@ def sweep(
             path, params, strategies,
             noise_norm=realization.eps_wnorm, truth=truth, refine=False,
         )
-        l2_curve = reports["oracle"].l2_error if "oracle" in reports else path.l2_error(*truth)
+        l2_curve = reports["oracle"].objective if "oracle" in reports else path.l2_error(*truth)
         picks = {name: report.chosen_index for name, report in reports.items()}
 
         # every grid lambda for the curves, else the chosen ones (grid values:

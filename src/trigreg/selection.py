@@ -13,8 +13,9 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
 * oracle (``select_oracle``): minimizer of the true L2 error, for benchmarks.
 
 Each strategy is a pure function of one :class:`RegularizationPath` that
-returns a :class:`SelectionReport` with a chosen lambda or raises a
-:class:`SelectionError`; :func:`_pick` builds every report.
+returns a :class:`SelectionReport` with a chosen lambda and the objective
+it ranked, or raises a :class:`SelectionError`; :func:`_pick` builds every
+report.
 :data:`STRATEGIES`, the single list of them, maps each name to its runner;
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
@@ -76,8 +77,9 @@ class ParameterGrid:
 def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400) -> ParameterGrid:
     """Build the candidate grid; defaults span [2**-40, 2**-0.1].
 
-    Requires a finite zeta0 > 0, 0 < q < 1, t_max >= 1 and a smallest value
-    zeta0*q**t_max that is a normal float (not 0.0 or subnormal).
+    Requires a finite zeta0 > 0, 0 < q < 1, t_max >= 1, a smallest value
+    zeta0*q**t_max that is a normal float (not 0.0 or subnormal) and t_max
+    values that fit in memory.
     """
     _require_positive(zeta0, "zeta0")
     if not 0.0 < q < 1.0:
@@ -92,14 +94,17 @@ def parameter_grid(zeta0: float = 1.0, q: float = 2.0 ** -0.1, t_max: int = 400)
             f"parameter grid underflows: zeta0*q**t_max = {float(smallest)!r} with zeta0={zeta0}, "
             f"q={q}, t_max={t_max} is below the smallest normal float {float(np.finfo(float).tiny)!r}"
         )
-    lambdas = zeta0 * np.power(float(q), np.arange(1, int(t_max) + 1, dtype=float))
+    try:
+        lambdas = zeta0 * np.power(float(q), np.arange(1, int(t_max) + 1, dtype=float))
+    except MemoryError:
+        raise ValueError(f"parameter grid of t_max={t_max} values does not fit in memory") from None
     lambdas.flags.writeable = False
     return ParameterGrid(zeta0=float(zeta0), q=float(q), t_max=int(t_max), lambdas=lambdas)
 
 
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
-    """Outcome of one strategy: the chosen parameter plus per-lambda diagnostics.
+    """Outcome of one strategy: the chosen parameter and the curve it ranked.
 
     A strategy that cannot choose raises a :class:`SelectionError` instead,
     so every report holds a chosen lambda.  ``chosen_index`` is the 0-based
@@ -108,23 +113,19 @@ class SelectionReport:
     grid values instead of exactly on one.  Every report, Morozov's refined
     one too, is built by :func:`_pick`.
 
-    Per-lambda columns are filled only where the strategy computes them:
-    ``residual_sq`` (weighted squared node residual), ``penalty_sq`` (squared
-    smoothness seminorm of the solution), ``curvature``, ``gcv``,
-    ``discrepancy`` (residual_sq minus squared noise norm) and ``l2_error``.
+    ``objective`` is the per-lambda array the strategy ranked: the
+    discrepancy F = J - noise_norm**2 (Morozov, first F <= 0), the absolute
+    curvature |kappa| (L-curve, maximum), the GCV score V (minimum) or the
+    L2 error (oracle, minimum).  Every other per-lambda diagnostic is a
+    :class:`RegularizationPath` method.
     """
 
     strategy: str
     lambdas: np.ndarray
     chosen_lambda: float
     chosen_index: int
+    objective: np.ndarray
     refined: bool = False
-    residual_sq: np.ndarray | None = None
-    penalty_sq: np.ndarray | None = None
-    curvature: np.ndarray | None = None
-    gcv: np.ndarray | None = None
-    discrepancy: np.ndarray | None = None
-    l2_error: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +413,8 @@ def _run_morozov(path, params, noise_norm=None, refine=True, **_):
             "the full-degree residual from the residual of the node mean"
         )
     noise_sq = float(noise_norm) ** 2
-    j_vals = path.residual_sq()
-    f_vals = j_vals - noise_sq
-    report = _pick(params, "morozov", "morozov", "the discrepancy", f_vals, _first_crossing,
-                   residual_sq=j_vals, discrepancy=f_vals)
+    f_vals = path.residual_sq() - noise_sq
+    report = _pick(params, "morozov", "morozov", "the discrepancy", f_vals, _first_crossing)
     idx, lam = report.chosen_index, report.chosen_lambda
     if f_vals[idx] <= 0:
         lo, hi = lam, float(params.lambdas[idx - 1]) if idx > 0 else params.zeta0
@@ -454,25 +453,23 @@ def _require_penalized_data(path, name: str):
         )
 
 
-def _pick(params, strategy: str, name: str, what: str, objective, best, **columns):
-    """The report of the grid lambda at index best(objective), with the given
-    columns.  An objective that holds a NaN or an infinity is refused: argmin
-    and argmax would pick the first NaN, and argmax |kappa| an infinite one."""
+def _pick(params, strategy: str, name: str, what: str, objective, best):
+    """The report of the grid lambda at index best(objective), which it keeps.
+    An objective that holds a NaN or an infinity is refused: argmin and
+    argmax would pick the first NaN, and argmax |kappa| an infinite one."""
     bad = objective.size - np.count_nonzero(np.isfinite(objective))
     if bad:
         raise InapplicableStrategyError(
             f"{name} is inapplicable: {what} is not finite at {bad} of {objective.size} grid lambdas"
         )
     idx = int(best(objective))
-    return SelectionReport(strategy=strategy, lambdas=params.lambdas,
-                           chosen_lambda=float(params.lambdas[idx]), chosen_index=idx, **columns)
+    return SelectionReport(strategy=strategy, lambdas=params.lambdas, chosen_lambda=float(params.lambdas[idx]),
+                           chosen_index=idx, objective=objective)
 
 
 def _run_lcurve(path, params, **_):
     _require_penalized_data(path, "L-curve")
-    kappa = path.curvature()
-    return _pick(params, "lcurve", "L-curve", "the curvature", np.abs(kappa), np.argmax,
-                 residual_sq=path.residual_sq(), penalty_sq=path.penalty_sq(), curvature=kappa)
+    return _pick(params, "lcurve", "L-curve", "the curvature", np.abs(path.curvature()), np.argmax)
 
 
 def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
@@ -488,8 +485,7 @@ def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequ
 
 def _run_gcv(path, params, **_):
     _require_penalized_data(path, "GCV")
-    v_vals = path.gcv()
-    return _pick(params, "gcv", "GCV", "the GCV score", v_vals, np.argmin, gcv=v_vals)
+    return _pick(params, "gcv", "GCV", "the GCV score", path.gcv(), np.argmin)
 
 
 def _require_eval_points(eval_points, name: str = "eval_points"):
@@ -515,8 +511,7 @@ def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltyS
 
 
 def _run_oracle(path, params, truth=None, **_):
-    errs = path.l2_error(*truth)
-    return _pick(params, "oracle", "oracle", "the L2 error", errs, np.argmin, l2_error=errs)
+    return _pick(params, "oracle", "oracle", "the L2 error", path.l2_error(*truth), np.argmin)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_06_discrepancy_principle_root_and_regularity(
     scan = tr.select_morozov(
         real20.noisy, big_grid, 250, big_penalty, params, real20.eps_wnorm, refine=False
     )
-    changes = int(np.sum(np.diff(np.sign(scan.discrepancy)) != 0))
+    changes = int(np.sum(np.diff(np.sign(scan.objective)) != 0))
     assert changes == 1
 
     # (c) regularity: at every level the chosen fit stays within
@@ -247,10 +247,10 @@ def test_10_chosen_lambda_tracks_noise_level(big_grid, big_penalty, params, leve
     ora = tr.select_oracle(
         real.noisy, big_grid, 250, big_penalty, params, tr.gallery("f1"), eval_points=2000
     )
+    path = tr.RegularizationPath.from_samples(real.noisy, big_grid, 250, big_penalty, params.lambdas)
     for arr in (
-        mor.residual_sq, mor.discrepancy,
-        lcu.residual_sq, lcu.penalty_sq, lcu.curvature,
-        gcv.gcv, ora.l2_error,
+        mor.objective, lcu.objective, gcv.objective, ora.objective,
+        path.residual_sq(), path.penalty_sq(), path.curvature(),
     ):
         assert arr is not None and arr.shape == params.lambdas.shape
         assert np.all(np.isfinite(arr))

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -100,19 +101,31 @@ def test_approximate_with_gcv_strategy(tmp_path, capsys):
     assert float(meta["chosen_lambda"]) == rep.chosen_lambda
 
 
-def test_approximate_diagnostics_table_layout(tmp_path):
-    run_cli(
-        "approximate", "--gallery", "f1", "--n", "11", "--snr-db", "20", "--seed", "1",
-        "--strategy", "lcurve", "--eval-points", "1000", "--t-max", "30",
-        "--output-dir", str(tmp_path),
-    )
-    meta, header, rows = read_csv(tmp_path / "diagnostics.csv")
+GALLERY_RUN = ("--gallery", "f1", "--n", "11", "--snr-db", "20", "--seed", "1")
+
+
+# Each strategy that chooses a lambda fills its columns: J by Morozov or the
+# L-curve, K and kappa by the L-curve, V by GCV and F by Morozov.
+@pytest.mark.parametrize("argv, filled", [
+    (("approximate", *GALLERY_RUN, "--strategy", "lcurve"), "J K kappa"),
+    (("approximate", *GALLERY_RUN, "--strategy", "morozov"), "J F"),
+    (("approximate", *GALLERY_RUN, "--strategy", "gcv"), "V"),
+    (("approximate", *GALLERY_RUN, "--strategy", "oracle"), ""),
+    (("select", *GALLERY_RUN, "--strategy", "all"), "J K kappa V F"),
+    # the L-curve and GCV refuse constant data, and the oracle has no truth
+    (("select", "--input", "constant.csv", "--strategy", "all", "--noise-norm", "0"), "J F"),
+], ids=["lcurve", "morozov", "gcv", "oracle", "all", "constant-input"])
+def test_approximate_diagnostics_table_layout(tmp_path, monkeypatch, argv, filled):
+    monkeypatch.chdir(tmp_path)
+    write_samples("constant.csv", tr.make_grid(11).nodes, np.full(11, 2.5))
+    assert run_cli(*argv, "--eval-points", "1000", "--t-max", "30") == 0
+    meta, header, rows = read_csv("diagnostics.csv")
     assert header == ["lambda", "J", "K", "kappa", "V", "F"]
     assert len(rows) == 30
     assert meta["t_max"] == "30"
-    # the L-curve scan fills J, K and kappa but not V or F
-    assert all(r[1] and r[2] and r[3] for r in rows)
-    assert all(r[4] == "" and r[5] == "" for r in rows)
+    assert all(row[0] for row in rows)
+    for column, name in enumerate(header[1:], start=1):
+        assert all(bool(row[column]) == (name in filled.split()) for row in rows), name
 
 
 @pytest.mark.parametrize(
@@ -135,6 +148,12 @@ def test_approximate_diagnostics_table_layout(tmp_path):
         (("sweep", "--gallery", "f1", "--n", "21", "--snr-db=-inf:20:1"), 3),
         # refused from the range's count, before its 10**9 levels are built
         (("select", "--gallery", "f1", "--n", "21", "--snr-db", "0:1e9:1"), 2),
+        # a non-finite list level used to reach the noise and exit 2 there,
+        # sweep's after the levels before it had run
+        (("select", "--gallery", "f1", "--n", "21", "--snr-db", "inf"), 3),
+        (("select", "--gallery", "f1", "--n", "21", "--snr-db", "nan"), 3),
+        (("select", "--gallery", "f1", "--n", "21", "--snr-db=-inf"), 3),
+        (("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "20,inf"), 3),
     ],
 )
 def test_approximate_config_failures(tmp_path, capsys, argv, code):
@@ -207,13 +226,26 @@ def test_overflowing_config_number_is_config_error(tmp_path, capsys, key, number
     (("--n", "101", "--q", "0.5", "--t-max", "1100"), "parameter grid underflows: zeta0*q**t_max = 0.0"),
     # it used to try to allocate the 10**12 grid values first
     (("--n", "101", "--t-max", "1000000000000"), "parameter grid underflows: zeta0*q**t_max = 0.0"),
-], ids=["penalty", "grid", "huge-t-max"])
-def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, capsys, flags, message):
-    # both used to print ok, with picks from NaN or zero-lambda diagnostics
+    # no underflow here: the 7.28 TiB grid used to end in numpy's MemoryError traceback
+    (("--n", "21", "--q", "0.9999999999", "--t-max", "1000000000000"),
+     "parameter grid of t_max=1000000000000 values does not fit in memory"),
+], ids=["penalty", "grid", "huge-t-max", "grid-memory"])
+def test_uncomputable_penalty_or_grid_is_config_error(tmp_path, flags, message):
+    # the first two used to print ok, with picks from NaN or zero-lambda diagnostics
     argv = ("select", "--gallery", "f1", "--snr-db", "20", *flags, "--output-dir", str(tmp_path))
-    assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: config-error: {message}")
+    proc = _run_warnings_as_errors(*argv, address_space=CHILD_ADDRESS_SPACE)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: config-error: {message}")
     assert not (tmp_path / "chosen.json").exists()
+
+
+def test_level_list_that_does_not_fit_is_config_error(tmp_path):
+    # the 10**9 levels of this range used to end in a bare MemoryError traceback
+    argv = ("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "0:1e9:1", "--output-dir", str(tmp_path))
+    proc = _run_warnings_as_errors(*argv, address_space=CHILD_ADDRESS_SPACE)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: config-error: --snr-db '0:1e9:1' names 1000000001 levels, more than fit in memory\n")
+    assert os.listdir(tmp_path) == []
 
 
 MISSING_FILE = ("--input", "missing.csv")
@@ -290,12 +322,25 @@ def test_non_finite_objective_is_a_strategy_failure(tmp_path, capsys):
     assert sorted(payload["chosen"]) == ["morozov", "oracle"]
 
 
-def _run_warnings_as_errors(*argv):
-    """``python -W error -m trigreg.cli argv`` in a fresh interpreter."""
+# The address space of a child that must fail to allocate: an allocation
+# beyond it fails in the child, never on the host.
+CHILD_ADDRESS_SPACE = 2**29
+
+
+def _run_warnings_as_errors(*argv, address_space=None):
+    """``python -W error -m trigreg.cli argv`` in a fresh interpreter, its
+    address space capped at ``address_space`` bytes if given (with one BLAS
+    thread, whose buffers fit under the cap on any host)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cap = None
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-W", "error", "-m", "trigreg.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap)
 
 
 @pytest.mark.parametrize("strategy, column", [("lcurve", "kappa"), ("gcv", "V")])

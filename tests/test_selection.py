@@ -258,10 +258,8 @@ def test_lcurve_picks_maximum_curvature(single_mode):
     g, samples, pen = single_mode
     rep = tr.select_lcurve(samples, g, 2, pen, tr.parameter_grid())
     assert rep.strategy == "lcurve"
-    assert rep.chosen_index == int(np.argmax(np.abs(rep.curvature)))
+    assert rep.chosen_index == int(np.argmax(rep.objective))
     assert rep.chosen_lambda == rep.lambdas[rep.chosen_index]
-    assert rep.residual_sq.shape == rep.lambdas.shape
-    assert rep.penalty_sq.shape == rep.lambdas.shape
 
 
 @pytest.mark.parametrize("data", [np.zeros(5), np.full(5, 3.0)])
@@ -292,8 +290,8 @@ def test_morozov_unrefined_stays_on_grid(single_mode):
     assert not rep.refined
     assert rep.chosen_lambda in params.lambdas
     # the unrefined pick is the first grid value with nonpositive discrepancy
-    assert rep.discrepancy[rep.chosen_index] <= 0
-    assert np.all(rep.discrepancy[: rep.chosen_index] > 0)
+    assert rep.objective[rep.chosen_index] <= 0
+    assert np.all(rep.objective[: rep.chosen_index] > 0)
 
 
 def test_morozov_discrepancy_has_one_sign_change(single_mode):
@@ -301,7 +299,7 @@ def test_morozov_discrepancy_has_one_sign_change(single_mode):
     # between two grid values
     g, samples, pen = single_mode
     rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), 2 * math.sqrt(np.pi) / 7)
-    signs = np.sign(rep.discrepancy)
+    signs = np.sign(rep.objective)
     assert np.sum(np.diff(signs) != 0) == 1
     assert rep.chosen_lambda == pytest.approx(0.4, abs=1e-8)
 
@@ -342,7 +340,7 @@ def test_morozov_bracket_cases(f1_row, grid_args, noise, index, refined, chosen)
     grid_pick = tr.select_morozov(samples, g, 50, pen, params, noise, refine=False)
     assert grid_pick.chosen_index == index and grid_pick.chosen_lambda == params.lambdas[index]
     upper = params.lambdas[index - 1] if index else params.zeta0
-    if rep.discrepancy[index] > 0:  # no crossing
+    if rep.objective[index] > 0:  # no crossing
         assert 0 < rep.chosen_lambda <= params.lambdas[index]
     elif refined:
         assert params.lambdas[index] <= rep.chosen_lambda <= upper
@@ -410,6 +408,35 @@ def test_run_strategies_refuses_a_path_over_other_lambdas():
     assert reports["gcv"].chosen_lambda == pytest.approx(1.95e-3, rel=1e-2)
 
 
+def _first_nonpositive(discrepancy):
+    hits = np.flatnonzero(discrepancy <= 0)
+    return hits[0] if hits.size else discrepancy.size - 1
+
+
+# noise 0 leaves F > 0 on the whole grid, so Morozov takes the last index
+@pytest.mark.parametrize("zero_noise", [False, True], ids=["crossing", "no-crossing"])
+def test_every_report_keeps_the_objective_it_ranked(f1_row, zero_noise):
+    """chosen_index is best(objective), and each objective is the path's own
+    per-lambda array, bit for bit."""
+    g, samples, pen, eps_wnorm = f1_row
+    noise = 0.0 if zero_noise else eps_wnorm
+    params = tr.parameter_grid()
+    path = tr.RegularizationPath.from_samples(samples, g, 50, pen, params.lambdas)
+    truth = tr.uniform_rfft(tr.gallery("f1")(tr.uniform_eval_points(1000)))
+    reports, failures = tr.run_strategies(path, params, list(tr.STRATEGIES), noise_norm=noise, truth=truth)
+    assert failures == {} and list(reports) == list(tr.STRATEGIES)
+    want = {
+        "morozov": (path.residual_sq() - noise**2, _first_nonpositive),
+        "lcurve": (np.abs(path.curvature()), np.argmax),
+        "gcv": (path.gcv(), np.argmin),
+        "oracle": (path.l2_error(*truth), np.argmin),
+    }
+    for name, (objective, best) in want.items():
+        assert np.array_equal(reports[name].objective, objective), name
+        assert reports[name].chosen_index == best(objective), name
+    assert (reports["morozov"].chosen_index == params.t_max - 1) == zero_noise
+
+
 def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be >= 0"):
@@ -462,11 +489,12 @@ def test_select_gcv_minimizes_score(single_mode):
     g, samples, pen = single_mode
     rep = tr.select_gcv(samples, g, 2, pen, tr.parameter_grid())
     assert rep.strategy == "gcv"
-    assert rep.chosen_index == int(np.argmin(rep.gcv))
+    assert rep.chosen_index == int(np.argmin(rep.objective))
     # V = sum (w*c)**2 / (sum w)**2 with w = lam*beta**2/(1 + lam*beta**2)
     c, b_sq = tr.analyze(samples, g, 2).values, pen.beta[tr.mode_layout(2)[0]] ** 2
     weight = np.outer(rep.lambdas[:5], b_sq) / (1 + np.outer(rep.lambdas[:5], b_sq))
-    assert_allclose(rep.gcv[:5], ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2, rtol=1e-13)
+    want = ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2
+    assert_allclose(rep.objective[:5], want, rtol=1e-13)
 
 
 def test_select_gcv_on_a_hyperinterpolation_grid_minimizes_the_explicit_quotient():
@@ -483,7 +511,7 @@ def test_select_gcv_on_a_hyperinterpolation_grid_minimizes_the_explicit_quotient
         resid = sqrt_w * (hat @ noisy - noisy)
         explicit.append(float(resid @ resid) / float(np.trace(np.eye(21) - hat)) ** 2)
     rep = tr.select_gcv(noisy, g, 5, pen, params)
-    assert_allclose(rep.gcv, explicit, rtol=1e-12)
+    assert_allclose(rep.objective, explicit, rtol=1e-12)
     assert rep.chosen_index == int(np.argmin(explicit))
     assert 0 < rep.chosen_index < params.t_max - 1
 
@@ -506,9 +534,11 @@ def test_steep_penalty_curvature_is_finite():
     # beta**4 = ell**160 used to overflow in K' and leave every kappa NaN
     g = tr.make_grid(1001)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
-    rep = tr.select_lcurve(noisy, g, 500, tr.laplace_penalty(500, 40.0), tr.parameter_grid())
-    assert rep.curvature.size == 400 and np.isfinite(rep.curvature).all()
-    assert np.isfinite(rep.penalty_sq).all()
+    pen, params = tr.laplace_penalty(500, 40.0), tr.parameter_grid()
+    rep = tr.select_lcurve(noisy, g, 500, pen, params)
+    assert rep.objective.size == 400 and np.isfinite(rep.objective).all()
+    path = tr.RegularizationPath.from_samples(noisy, g, 500, pen, params.lambdas)
+    assert np.isfinite(path.curvature()).all() and np.isfinite(path.penalty_sq()).all()
 
 
 @pytest.mark.filterwarnings("error")  # as under python -W error
@@ -625,12 +655,12 @@ def test_oracle_minimizes_true_error():
     params = tr.parameter_grid()
     rep = tr.select_oracle(noisy, g, 10, pen, params, tr.gallery("f1"), eval_points=2000)
     assert rep.strategy == "oracle"
-    assert rep.l2_error.shape == params.lambdas.shape
-    assert rep.chosen_index == int(np.argmin(rep.l2_error))
+    assert rep.objective.shape == params.lambdas.shape
+    assert rep.chosen_index == int(np.argmin(rep.objective))
     # spot-check the tabulated error curve against the standalone metric
     k = rep.chosen_index
     approx = tr.solve(noisy, g, 10, params.lambdas[k], pen)
-    assert rep.l2_error[k] == pytest.approx(ref.l2_error(approx, tr.gallery("f1"), 2000), rel=1e-12)
+    assert rep.objective[k] == pytest.approx(ref.l2_error(approx, tr.gallery("f1"), 2000), rel=1e-12)
 
 
 @pytest.mark.parametrize("eval_points", [10000, 2001])
@@ -645,7 +675,7 @@ def test_oracle_curve_matches_dense_l2_error(eval_points):
     for k in (0, 40, rep.chosen_index, 250, 399):
         approx = tr.solve(noisy, g, 50, params.lambdas[k], pen)
         dense = ref.l2_error(approx, f, eval_points)
-        assert rep.l2_error[k] == pytest.approx(dense, rel=1e-10)
+        assert rep.objective[k] == pytest.approx(dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("eval_points", [1000, 1001])
@@ -661,7 +691,7 @@ def test_oracle_reads_an_eval_grid_below_the_degree(eval_points):
     rep = tr.select_oracle(noisy, g, 600, pen, params, f, eval_points=eval_points)
     approximants = [tr.solve(noisy, g, 600, lam, pen) for lam in params.lambdas]
     dense = np.array([ref.l2_error(approx, f, eval_points) for approx in approximants])
-    assert_allclose(rep.l2_error, dense, rtol=1e-12)
+    assert_allclose(rep.objective, dense, rtol=1e-12)
     assert rep.chosen_index == int(np.argmin(dense))
     path = tr.RegularizationPath.from_samples(noisy, g, 600, pen, params.lambdas)
     truth = tr.uniform_rfft(f(tr.uniform_eval_points(eval_points)))
