@@ -137,9 +137,7 @@ def layer_calls(tree, noisy, eps_wnorm: float, dense, samples: str, table: str) 
     """No-argument calls of each timed layer of ``tree`` on one row of N samples and K dense values."""
     n, k, degree = noisy.size, dense.size, (noisy.size - 1) // 2
     params, strategies, write = tree.parameter_grid(), tree.selection.STRATEGIES, tree.cli._write_csv
-    path = tree.RegularizationPath.from_samples(
-        noisy, tree.make_grid(n), degree, tree.laplace_penalty(degree), params.lambdas
-    )
+    path = tree.RegularizationPath.from_samples(noisy, tree.laplace_penalty(degree), params.lambdas)
     path._sums  # cached from here on: the selectors below then time what follows the scan
     truth = tree.uniform_rfft(dense)  # the oracle's (rfft, K) pair
     spectrum = np.fft.rfft(dense)

@@ -9,9 +9,10 @@ decouples mode by mode and has the closed-form solution
 
     alpha(ell, k) = <f, Y(ell,k)>_N / (1 + lambda * beta_ell**2).
 
-lambda = 0 reproduces plain discrete least squares (interpolation when
-N = 2*degree + 1); lambda > 0 shrinks every penalized mode toward zero.
-:func:`solve` reads that shrinkage from the one-lambda
+N is the number of samples and L the penalty's degree.  lambda = 0
+reproduces plain discrete least squares (interpolation when N = 2L + 1,
+hyperinterpolation when N > 2L + 1); lambda > 0 shrinks every penalized
+mode toward zero.  :func:`solve` reads that shrinkage from the one-lambda
 :class:`~trigreg.selection.RegularizationPath` of the samples and returns
 the polynomial as callable :class:`~trigreg.grid.FourierCoefficients`.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FourierCoefficients, TrapezoidalGrid, synthesize
+from .grid import FourierCoefficients, synthesize
 from .penalty import PenaltySequence, _require_nonnegative
 from .selection import RegularizationPath
 
@@ -33,22 +34,21 @@ __all__ = [
 ]
 
 
-def solve(samples, grid: TrapezoidalGrid, degree: int, lam: float,
-          penalty: PenaltySequence) -> FourierCoefficients:
+def solve(samples, penalty: PenaltySequence, lam: float) -> FourierCoefficients:
     """Solve the penalized least-squares problem in closed form.
 
     A thin view of :class:`~trigreg.selection.RegularizationPath`: the
     path of the samples over the one lambda ``lam``, and its coefficients
-    there, as the polynomial ``FourierCoefficients(degree, alpha, N)``.
-    Requires lam >= 0, a penalty built for the same degree, and
-    2*degree + 1 <= N.
+    there, as the polynomial ``FourierCoefficients(L, alpha, N)``, where N
+    is the sample count and L the penalty's degree.  Requires lam >= 0 and
+    2L + 1 <= N.
     """
     _require_nonnegative(lam)
     lam = float(lam)
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, np.array([lam]))
+    path = RegularizationPath.from_samples(samples, penalty, np.array([lam]))
     alpha = path.alpha(lam)
     alpha.flags.writeable = False
-    return FourierCoefficients(degree, alpha, grid.n_points)
+    return FourierCoefficients(penalty.degree, alpha, path.n_points)
 
 
 def evaluate(approx: FourierCoefficients, points):

@@ -350,23 +350,22 @@ def _read_samples_csv(path: str):
             "input samples must sit on the equidistant trapezoidal grid "
             f"x_j = -pi + 2*pi*(j-1)/N, j = 1..N (N = {n}), in that order",
         )
-    return grid, np.asarray(ys, dtype=float)
+    return np.asarray(ys, dtype=float)
 
 
 def _prepare_input(cfg: argparse.Namespace):
-    """Resolve (grid, samples, noise norm or None, source label); --noise-norm wins."""
+    """Resolve (samples, noise norm or None, source label); --noise-norm wins."""
     if cfg.func is not None:
-        grid = make_grid(cfg.n)
-        clean = np.asarray(cfg.func(grid.nodes), dtype=float)
+        clean = np.asarray(cfg.func(make_grid(cfg.n).nodes), dtype=float)
         if not cfg.levels:
-            return grid, clean, cfg.noise_norm, f"gallery:{cfg.gallery}"
+            return clean, cfg.noise_norm, f"gallery:{cfg.gallery}"
         realization = add_noise_snr(clean, cfg.levels[0], cfg.seed)
         noise_norm = realization.eps_wnorm if cfg.noise_norm is None else cfg.noise_norm
-        return grid, realization.noisy, noise_norm, f"gallery:{cfg.gallery}"
-    grid, samples = _read_samples_csv(cfg.input)
-    if cfg.n is not None and cfg.n != grid.n_points:
-        raise CliError("grid-error", f"--n {cfg.n} contradicts the {grid.n_points} samples of {cfg.input}")
-    return grid, samples, cfg.noise_norm, f"input:{cfg.input}"
+        return realization.noisy, noise_norm, f"gallery:{cfg.gallery}"
+    samples = _read_samples_csv(cfg.input)
+    if cfg.n is not None and cfg.n != samples.size:
+        raise CliError("grid-error", f"--n {cfg.n} contradicts the {samples.size} samples of {cfg.input}")
+    return samples, cfg.noise_norm, f"input:{cfg.input}"
 
 
 def _fmt(value) -> str:
@@ -462,20 +461,19 @@ def _scan(cfg: argparse.Namespace) -> _Scan:
     The samples are projected once, and every strategy reads that path.  A
     single named strategy that fails raises a strategy-error.
     """
-    grid, samples, noise_norm, source = _prepare_input(cfg)
-    degree = (grid.n_points - 1) // 2
+    samples, noise_norm, source = _prepare_input(cfg)
     inputs = {"noise_norm": noise_norm, "truth": None}
     if cfg.func is not None and "oracle" in cfg.names:
         inputs["truth"] = uniform_rfft(cfg.func(uniform_eval_points(cfg.eval_points)))
     path = RegularizationPath.from_samples(
-        samples, grid, degree, laplace_penalty(degree, cfg.s), cfg.params.lambdas
+        samples, laplace_penalty((samples.size - 1) // 2, cfg.s), cfg.params.lambdas
     )
     strategies = [name for name in cfg.names if name in STRATEGIES and name not in cfg.missing]
     reports, failures = run_strategies(path, cfg.params, strategies, **inputs)
     if failures and len(cfg.names) == 1:
         raise CliError("strategy-error", failures[cfg.names[0]])
     meta = _metadata(
-        cfg, grid.n_points, source,
+        cfg, samples.size, source,
         strategy=",".join(cfg.names),
         snr_db=cfg.levels[0] if cfg.levels else None,
         noise_norm=noise_norm,
@@ -520,19 +518,9 @@ def cmd_approximate(cfg: argparse.Namespace) -> int:
     alpha = run.path.alpha(lam)
     meta = {**run.meta, "chosen_lambda": lam}
 
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    coeff_path = os.path.join(outdir, "coefficients.csv")
-    _write_csv(coeff_path, meta, ["ell", "k", "alpha", "source_coeff"],
-               [*mode_layout(degree), alpha, run.path.coeffs])
-    eval_path = os.path.join(outdir, "evaluation.csv")
+    # every array first: a size that does not fit in memory then leaves no file
     x = uniform_eval_points(cfg.eval_points)
     values = uniform_synthesis(alpha, cfg.eval_points)
-    _write_csv(eval_path, meta, ["x", "p"], [x, values])
-    outputs = [coeff_path, eval_path]
-    if run.reports:
-        outputs.append(_write_diagnostics(outdir, meta, run))
-
     node_residual = float(np.max(np.abs(uniform_synthesis(alpha, n) - run.samples)))
     parts = [
         "ok",
@@ -548,6 +536,18 @@ def cmd_approximate(cfg: argparse.Namespace) -> int:
     if cfg.func is not None:
         diff = values - np.asarray(cfg.func(x), dtype=float)
         parts.append(f"l2_error_vs_truth={_fmt(math.sqrt(TWO_PI / x.size * float(diff @ diff)))}")
+
+    outdir = cfg.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    coeff_path = os.path.join(outdir, "coefficients.csv")
+    _write_csv(coeff_path, meta, ["ell", "k", "alpha", "source_coeff"],
+               [*mode_layout(degree), alpha, run.path.coeffs])
+    eval_path = os.path.join(outdir, "evaluation.csv")
+    _write_csv(eval_path, meta, ["x", "p"], [x, values])
+    outputs = [coeff_path, eval_path]
+    if run.reports:
+        outputs.append(_write_diagnostics(outdir, meta, run))
+
     if not np.any(run.path.coeffs):
         parts.append("zero_data=true")
     parts.append("files=" + ",".join(outputs))
@@ -644,6 +644,10 @@ def main(argv=None) -> int:
         return EXIT_CODES.get(exc.category, 1)
     except ValueError as exc:
         print(f"error: config-error: {exc}", file=sys.stderr)
+        return EXIT_CODES["config-error"]
+    except MemoryError as exc:  # a size the flags or the input ask for
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: config-error: the command does not fit in memory{detail}", file=sys.stderr)
         return EXIT_CODES["config-error"]
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)

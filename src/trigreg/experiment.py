@@ -192,8 +192,7 @@ def vallee_poussin(f, n: int, quad_points: int) -> FourierCoefficients:
             f"quadrature with {quad_points} nodes cannot resolve the filtered "
             f"coefficients; need quad_points >= {4 * n + 1}"
         )
-    grid = make_grid(quad_points)
-    coeffs = analyze(np.asarray(f(grid.nodes), dtype=float), grid, 2 * n - 1)
+    coeffs = analyze(np.asarray(f(make_grid(quad_points).nodes), dtype=float), 2 * n - 1)
     ells, _ = mode_layout(coeffs.degree)
     taper = np.array([vallee_poussin_filter(ell, n) for ell in ells.tolist()])
     return FourierCoefficients(
@@ -352,12 +351,10 @@ def sweep(
     """
     _require_eval_points(eval_points)
     func = gallery(function) if isinstance(function, str) else function
-    grid = make_grid(n_points)
-    degree = (grid.n_points - 1) // 2
-    pen = laplace_penalty(degree, exponent_s)
+    clean = np.asarray(func(make_grid(n_points).nodes), dtype=float)
+    pen = laplace_penalty((clean.size - 1) // 2, exponent_s)
     if params is None:
         params = parameter_grid()
-    clean = np.asarray(func(grid.nodes), dtype=float)
 
     # The L2 curves come from the closed-form path (Parseval on the evaluation
     # grid); the uniform errors from p_lam - f in the rfft domain of that grid.
@@ -367,7 +364,7 @@ def sweep(
     for i, snr_db in enumerate(snr_levels):
         row_seed = _row_seed(seed, i)
         realization = add_noise_snr(clean, snr_db, row_seed)
-        path = RegularizationPath.from_samples(realization.noisy, grid, degree, pen, params.lambdas)
+        path = RegularizationPath.from_samples(realization.noisy, pen, params.lambdas)
         reports, failures = run_strategies(
             path, params, strategies,
             noise_norm=realization.eps_wnorm, truth=truth, refine=False,

@@ -9,10 +9,12 @@ degree <= N-1 exactly, so the normalized basis
     Y(ell,1) = cos(ell*x)/sqrt(pi),   Y(ell,2) = sin(ell*x)/sqrt(pi),
 
 is orthonormal under the induced discrete inner product whenever
-2*degree + 1 <= N.  Fourier analysis of equispaced samples is then a real
-DFT: the nodes start at -pi, so cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/N)
-and likewise for sin, and each coefficient is a signed real or imaginary part
-of one rfft bin (Cooley and Tukey, 1965).  :func:`uniform_projection` is the
+2*degree + 1 <= N.  Samples are the values at the nodes of :func:`make_grid`,
+so whatever takes samples reads N from their length, and takes no grid.
+Fourier analysis of equispaced samples is then a real DFT: the nodes start
+at -pi, so cos(ell*x_j) = (-1)**ell * cos(2*pi*ell*j/N) and likewise for
+sin, and each coefficient is a signed real or imaginary part of one rfft
+bin (Cooley and Tukey, 1965).  :func:`uniform_projection` is the
 package's one projection routine: a single rfft gives the coefficients and
 the squared remainder ||f - P_L f||**2 of samples, in O(N log N) time and
 O(N) memory (:func:`analyze` and the regularization path).
@@ -99,7 +101,7 @@ def harmonic_indices(degree: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class TrapezoidalGrid:
-    """Equidistant nodes on [-pi, pi) with the uniform weight 2*pi/N."""
+    """The N equidistant nodes on [-pi, pi) at which to sample, with the uniform weight 2*pi/N."""
 
     n_points: int
     nodes: np.ndarray
@@ -149,21 +151,19 @@ def basis_matrix(points, degree: int) -> np.ndarray:
     return m
 
 
-def discrete_inner(v, z, grid: TrapezoidalGrid) -> float:
-    """Weighted dot product (2*pi/N) * sum_j v_j * z_j over the grid nodes."""
+def discrete_inner(v, z) -> float:
+    """Weighted dot product (2*pi/N) * sum_j v_j * z_j of two length-N sample vectors."""
     v = np.asarray(v, dtype=float)
     z = np.asarray(z, dtype=float)
-    if v.shape != (grid.n_points,) or z.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected two length-{grid.n_points} sample vectors, "
-            f"got shapes {v.shape} and {z.shape}"
-        )
-    return grid.weight * float(np.dot(v, z))
+    if v.ndim != 1 or v.size == 0 or v.shape != z.shape:
+        raise ValueError(f"expected two nonempty 1-d sample vectors of equal length, "
+                         f"got shapes {v.shape} and {z.shape}")
+    return TWO_PI / v.size * float(np.dot(v, z))
 
 
-def weighted_norm(v, grid: TrapezoidalGrid) -> float:
+def weighted_norm(v) -> float:
     """Norm induced by :func:`discrete_inner`."""
-    return float(np.sqrt(discrete_inner(v, v, grid)))
+    return float(np.sqrt(discrete_inner(v, v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,33 +193,36 @@ def _require_finite(values: np.ndarray, what: str):
         )
 
 
-def _validated_samples(samples, grid: TrapezoidalGrid, degree: int) -> np.ndarray:
-    """The samples as a float array, checked as :func:`analyze` requires."""
+def _validated_samples(samples, degree: int) -> np.ndarray:
+    """The samples as a float array, checked as :func:`analyze` requires: a
+    1-d vector whose length N is a node count :func:`make_grid` accepts, with
+    2*degree + 1 <= N and every sample finite."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected {grid.n_points} samples on the grid, got shape {samples.shape}"
-        )
-    if 2 * degree + 1 > grid.n_points:
-        raise ValueError(
-            f"degree {degree} too high for {grid.n_points} nodes: need "
-            f"2*degree + 1 <= n_points for exact quadrature"
-        )
+    if samples.ndim != 1:
+        raise ValueError(f"expected a 1-d vector of samples, got shape {samples.shape}")
+    n = samples.size
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need an odd number >= 3 of samples, got {n}")
+    if 2 * degree + 1 > n:
+        raise ValueError(f"degree {degree} too high for {n} nodes: need "
+                         f"2*degree + 1 <= n_points for exact quadrature")
     _require_finite(samples, "samples")
     return samples
 
 
-def analyze(samples, grid: TrapezoidalGrid, degree: int) -> FourierCoefficients:
-    """Discrete Fourier coefficients <samples, Y(ell,k)>_N of sampled data.
+def analyze(samples, degree: int) -> FourierCoefficients:
+    """Discrete Fourier coefficients <samples, Y(ell,k)>_N of the samples at
+    the N nodes of ``make_grid(N)``, N = ``len(samples)``.
 
     Requires 2*degree + 1 <= N so the quadrature underlying the inner product
     stays exact on products of basis modes (otherwise aliasing would corrupt
     every coefficient), and finite samples: a NaN or inf would spread into
     every coefficient and every diagnostic derived from them.  The
-    coefficients come from :func:`uniform_projection` on the grid's nodes.
+    coefficients come from :func:`uniform_projection`.
     """
-    values, _ = uniform_projection(_validated_samples(samples, grid, degree), degree)
-    return FourierCoefficients(degree=degree, values=values, n_points=grid.n_points)
+    samples = _validated_samples(samples, degree)
+    values, _ = uniform_projection(samples, degree)
+    return FourierCoefficients(degree=degree, values=values, n_points=samples.size)
 
 
 def synthesize(coeffs: FourierCoefficients, points):

@@ -9,13 +9,14 @@ parameter grid lambda_k = zeta0 * q**k, k = 1..T:
 * L-curve (``select_lcurve``): maximal-curvature corner of the log-log
   residual-versus-smoothness curve, using a closed-form curvature;
 * generalized cross validation (``select_gcv``): minimizer of the GCV score,
-  in closed form for every N >= 2*degree + 1;
+  in closed form for every N >= 2L + 1;
 * oracle (``select_oracle``): minimizer of the true L2 error, for benchmarks.
 
-Each strategy is a pure function of one :class:`RegularizationPath` that
-returns a :class:`SelectionReport` with a chosen lambda and the objective
-it ranked, or raises a :class:`SelectionError`; :func:`_pick` builds every
-report.
+N is the number of samples and L the penalty's degree: interpolation when
+N = 2L + 1, hyperinterpolation when N > 2L + 1.  Each strategy is a pure
+function of one :class:`RegularizationPath` that returns a
+:class:`SelectionReport` with a chosen lambda and the objective it ranked,
+or raises a :class:`SelectionError`; :func:`_pick` builds every report.
 :data:`STRATEGIES`, the single list of them, maps each name to its runner;
 :func:`run_strategies` runs any of them on one shared path, and each
 ``select_*`` function builds a path and calls its registry entry.
@@ -34,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (TWO_PI, TrapezoidalGrid, _alias, _fold, _validated_samples, mode_layout,
-                   uniform_eval_points, uniform_projection, uniform_rfft)
+from .grid import (TWO_PI, _alias, _fold, _validated_samples, mode_layout, uniform_eval_points,
+                   uniform_projection, uniform_rfft)
 from .penalty import PenaltySequence, _require_nonnegative, _require_positive
 
 __all__ = [
@@ -181,16 +182,11 @@ class RegularizationPath:
     n_points: int
 
     @classmethod
-    def from_samples(
-        cls, samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lambdas
-    ) -> "RegularizationPath":
-        """Project the samples once and set up the path over ``lambdas``."""
-        if penalty.degree != degree:
-            raise ValueError(
-                f"penalty degree {penalty.degree} does not match requested degree {degree}"
-            )
-        coeffs, r0 = uniform_projection(_validated_samples(samples, grid, degree), degree)
-        return cls(coeffs, penalty.beta**2, lambdas, r0, grid.n_points)
+    def from_samples(cls, samples, penalty: PenaltySequence, lambdas) -> "RegularizationPath":
+        """Project the samples once onto the penalty's degree and set up the path over ``lambdas``."""
+        samples = _validated_samples(samples, penalty.degree)
+        coeffs, r0 = uniform_projection(samples, penalty.degree)
+        return cls(coeffs, penalty.beta**2, lambdas, r0, samples.size)
 
     @cached_property
     def _energy(self):
@@ -355,7 +351,7 @@ class RegularizationPath:
         return math.sqrt(self.r0), math.sqrt(self.r0 + float(self._energy[1:].sum()))
 
 
-def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence, lam: float) -> float:
+def residual_sq(samples, penalty: PenaltySequence, lam: float) -> float:
     """Weighted squared residual (2*pi/N) * sum_j (p_lam(x_j) - f_j)**2.
 
     Read from the one-lambda path of the samples, in closed form as
@@ -364,7 +360,7 @@ def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySeq
     penalized mode is active in the data.
     """
     _require_nonnegative(lam)
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, np.array([float(lam)]))
+    path = RegularizationPath.from_samples(samples, penalty, np.array([float(lam)]))
     return float(path.residual_sq()[0])
 
 
@@ -375,8 +371,8 @@ def residual_sq(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySeq
 # ---------------------------------------------------------------------------
 
 
-def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
-                   params: ParameterGrid, noise_norm: float, refine: bool = True) -> SelectionReport:
+def select_morozov(samples, penalty: PenaltySequence, params: ParameterGrid, noise_norm: float,
+                   refine: bool = True) -> SelectionReport:
     """Discrepancy principle: first grid lambda whose residual reaches the noise.
 
     Picks the first k = 1..T (lambda decreasing) with
@@ -393,7 +389,7 @@ def select_morozov(samples, grid: TrapezoidalGrid, degree: int, penalty: Penalty
     back silently.  Under it F(0) <= 0, so a root exists below lambda_T
     when F stays positive across the whole grid.
     """
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, penalty, params.lambdas)
     return STRATEGIES["morozov"].run(path, params, noise_norm, refine)
 
 
@@ -433,10 +429,9 @@ def _run_morozov(path, params, noise_norm=None, refine=True, **_):
     return replace(report, chosen_lambda=mid, refined=True)
 
 
-def select_lcurve(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
-                  params: ParameterGrid) -> SelectionReport:
+def select_lcurve(samples, penalty: PenaltySequence, params: ParameterGrid) -> SelectionReport:
     """L-curve corner: the grid lambda of maximal absolute curvature."""
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, penalty, params.lambdas)
     return STRATEGIES["lcurve"].run(path, params)
 
 
@@ -472,14 +467,13 @@ def _run_lcurve(path, params, **_):
     return _pick(params, "lcurve", "L-curve", "the curvature", np.abs(path.curvature()), np.argmax)
 
 
-def select_gcv(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
-               params: ParameterGrid) -> SelectionReport:
+def select_gcv(samples, penalty: PenaltySequence, params: ParameterGrid) -> SelectionReport:
     """Minimize the closed-form GCV score over the parameter grid.
 
-    Any N >= 2*degree + 1 works (see :meth:`RegularizationPath.gcv`); the
+    Any N >= 2L + 1 works (see :meth:`RegularizationPath.gcv`); the
     data needs a nonzero penalized seminorm (not constant up to roundoff).
     """
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, penalty, params.lambdas)
     return STRATEGIES["gcv"].run(path, params)
 
 
@@ -494,18 +488,18 @@ def _require_eval_points(eval_points, name: str = "eval_points"):
         raise ValueError(f"{name} must be >= 1000, got {eval_points}")
 
 
-def select_oracle(samples, grid: TrapezoidalGrid, degree: int, penalty: PenaltySequence,
-                  params: ParameterGrid, true_function, eval_points: int = 10000) -> SelectionReport:
+def select_oracle(samples, penalty: PenaltySequence, params: ParameterGrid, true_function,
+                  eval_points: int = 10000) -> SelectionReport:
     """Benchmark selector: minimize the true L2 error against a known function.
 
     The error is the discretized L2 distance sqrt((2*pi/K) * sum (p - f)**2)
     on a K-point equidistant evaluation grid, K = ``eval_points`` >= 1000,
-    also below 2*degree + 1.  It is evaluated by Parseval on that grid from
+    also below 2L + 1.  It is evaluated by Parseval on that grid from
     one FFT of the function (see :meth:`RegularizationPath.l2_error`), with
     no dense evaluation.
     """
     _require_eval_points(eval_points)
-    path = RegularizationPath.from_samples(samples, grid, degree, penalty, params.lambdas)
+    path = RegularizationPath.from_samples(samples, penalty, params.lambdas)
     truth = uniform_rfft(true_function(uniform_eval_points(eval_points)))
     return STRATEGIES["oracle"].run(path, params, truth=truth)
 

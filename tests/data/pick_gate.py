@@ -45,15 +45,12 @@ def compute_cases() -> dict:
         func = tr.gallery(name)
         truth = tr.uniform_rfft(func(tr.uniform_eval_points(EVAL_POINTS)))
         for n in SIZES:
-            grid, degree = tr.make_grid(n), (n - 1) // 2
-            penalty = tr.laplace_penalty(degree)
-            clean = func(grid.nodes)
+            penalty = tr.laplace_penalty((n - 1) // 2)
+            clean = func(tr.make_grid(n).nodes)
             for snr_db in LEVELS:
                 for seed in SEEDS:
                     realization = tr.add_noise_snr(clean, snr_db, seed)
-                    path = tr.RegularizationPath.from_samples(
-                        realization.noisy, grid, degree, penalty, params.lambdas
-                    )
+                    path = tr.RegularizationPath.from_samples(realization.noisy, penalty, params.lambdas)
                     reports, failures = tr.run_strategies(
                         path, params, list(tr.STRATEGIES), noise_norm=realization.eps_wnorm,
                         truth=truth, refine=True,

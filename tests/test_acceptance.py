@@ -64,7 +64,7 @@ def test_02_zero_lambda_interpolates_noisy_samples():
     """Unregularized fit at N = 2L+1 reproduces the data at the nodes."""
     g = tr.make_grid(101)
     noisy = tr.add_noise_snr(tr.gallery("f2")(g.nodes), 20.0, SEED).noisy
-    approx = tr.solve(noisy, g, 50, 0.0, tr.laplace_penalty(50))
+    approx = tr.solve(noisy, tr.laplace_penalty(50), 0.0)
     residual = float(np.max(np.abs(approx(g.nodes) - noisy)))
     bound = 1e-8 * float(np.max(np.abs(noisy)))
     assert residual <= bound
@@ -75,7 +75,7 @@ def test_04_noiseless_pipeline_reaches_spectral_accuracy():
     """Smooth periodic data is recovered to near machine precision."""
     g = tr.make_grid(31)
     f = tr.gallery("f1")
-    approx = tr.solve(f(g.nodes), g, 15, 0.0, tr.laplace_penalty(15))
+    approx = tr.solve(f(g.nodes), tr.laplace_penalty(15), 0.0)
     err = ref.uniform_error(approx, f, 10000)
     assert err <= 1e-9
     print(f"PASS spectral accuracy: uniform error {err:.2e} <= 1e-09")
@@ -89,7 +89,7 @@ def test_05_diagnostics_monotone_with_consistent_derivatives(
     noisy = noisy_20db.noisy
     lams = params.lambdas
 
-    path = tr.RegularizationPath.from_samples(noisy, big_grid, 250, big_penalty, lams)
+    path = tr.RegularizationPath.from_samples(noisy, big_penalty, lams)
     j_vals, k_vals = path.residual_sq(), path.penalty_sq()
     # lams decreases along the grid, so J must fall and K must rise with it
     assert np.all(np.diff(j_vals) < 0)
@@ -128,9 +128,7 @@ def test_06_discrepancy_principle_root_and_regularity(
     uniform noise bound allows."""
     # (a) for cos x the residual crosses noise^2 = pi/4 exactly at lambda = 1
     g5 = tr.make_grid(5)
-    rep = tr.select_morozov(
-        np.cos(g5.nodes), g5, 2, tr.laplace_penalty(2), params, math.sqrt(np.pi) / 2
-    )
+    rep = tr.select_morozov(np.cos(g5.nodes), tr.laplace_penalty(2), params, math.sqrt(np.pi) / 2)
     root_error = abs(rep.chosen_lambda - 1.0)
     assert root_error <= 1e-8
 
@@ -138,9 +136,7 @@ def test_06_discrepancy_principle_root_and_regularity(
     clean = tr.gallery("f1")(big_grid.nodes)
     row20 = level_sweep[1]
     real20 = tr.add_noise_snr(clean, 20.0, row20.row_seed)
-    scan = tr.select_morozov(
-        real20.noisy, big_grid, 250, big_penalty, params, real20.eps_wnorm, refine=False
-    )
+    scan = tr.select_morozov(real20.noisy, big_penalty, params, real20.eps_wnorm, refine=False)
     changes = int(np.sum(np.diff(np.sign(scan.objective)) != 0))
     assert changes == 1
 
@@ -149,8 +145,8 @@ def test_06_discrepancy_principle_root_and_regularity(
     x = tr.uniform_eval_points(10000)
     for row in level_sweep:
         real = tr.add_noise_snr(clean, row.snr_db, row.row_seed)
-        chosen = tr.solve(real.noisy, big_grid, 250, row.reports["morozov"].chosen_lambda, big_penalty)
-        raw = tr.solve(real.noisy, big_grid, 250, 0.0, big_penalty)
+        chosen = tr.solve(real.noisy, big_penalty, row.reports["morozov"].chosen_lambda)
+        raw = tr.solve(real.noisy, big_penalty, 0.0)
         drift = float(np.max(np.abs(chosen(x) - raw(x))))
         assert drift <= math.sqrt(2 * np.pi * 501) * real.eps_sup
     print(
@@ -173,7 +169,7 @@ def test_07_gcv_closed_form_matches_explicit_matrices(params, n, degree):
     # the assembled-matrix computation itself, not of the closed form)
     for s in (1.0, 2.0):
         pen = tr.laplace_penalty(degree, s)
-        closed_scores = tr.RegularizationPath.from_samples(noisy, g, degree, pen, params.lambdas[:20]).gcv()
+        closed_scores = tr.RegularizationPath.from_samples(noisy, pen, params.lambdas[:20]).gcv()
         b_sq = np.diag(pen.beta[tr.mode_layout(degree)[0]] ** 2)  # per mode
         for lam, closed in zip(params.lambdas[:20], closed_scores):
             gram = mat.T @ w @ mat + lam * b_sq
@@ -239,15 +235,11 @@ def test_10_chosen_lambda_tracks_noise_level(big_grid, big_penalty, params, leve
     clean = tr.gallery("f1")(big_grid.nodes)
     row20 = level_sweep[1]
     real = tr.add_noise_snr(clean, 20.0, row20.row_seed)
-    mor = tr.select_morozov(
-        real.noisy, big_grid, 250, big_penalty, params, real.eps_wnorm, refine=False
-    )
-    lcu = tr.select_lcurve(real.noisy, big_grid, 250, big_penalty, params)
-    gcv = tr.select_gcv(real.noisy, big_grid, 250, big_penalty, params)
-    ora = tr.select_oracle(
-        real.noisy, big_grid, 250, big_penalty, params, tr.gallery("f1"), eval_points=2000
-    )
-    path = tr.RegularizationPath.from_samples(real.noisy, big_grid, 250, big_penalty, params.lambdas)
+    mor = tr.select_morozov(real.noisy, big_penalty, params, real.eps_wnorm, refine=False)
+    lcu = tr.select_lcurve(real.noisy, big_penalty, params)
+    gcv = tr.select_gcv(real.noisy, big_penalty, params)
+    ora = tr.select_oracle(real.noisy, big_penalty, params, tr.gallery("f1"), eval_points=2000)
+    path = tr.RegularizationPath.from_samples(real.noisy, big_penalty, params.lambdas)
     for arr in (
         mor.objective, lcu.objective, gcv.objective, ora.objective,
         path.residual_sq(), path.penalty_sq(), path.curvature(),

@@ -23,28 +23,28 @@ def cos_problem():
 def test_solve_shrinks_single_mode(cos_problem):
     """With lam = 1 and unit weight on ell = 1 the cosine mode is halved."""
     g, samples, pen = cos_problem
-    approx = tr.solve(samples, g, 2, 1.0, pen)
+    approx = tr.solve(samples, pen, 1.0)
     assert approx.values[1] == pytest.approx(math.sqrt(np.pi) / 2, rel=1e-14)
     assert approx(0.0) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_solve_zero_lambda_interpolates(cos_problem):
     g, samples, pen = cos_problem
-    approx = tr.solve(samples, g, 2, 0.0, pen)
+    approx = tr.solve(samples, pen, 0.0)
     assert_allclose(approx(g.nodes), samples, atol=1e-13)
 
 
 def test_solve_validates_lambda(cos_problem):
     g, samples, pen = cos_problem
     with pytest.raises(ValueError, match="must be >= 0"):
-        tr.solve(samples, g, 2, -0.5, pen)
+        tr.solve(samples, pen, -0.5)
 
 
 def test_nan_lambda_is_rejected(cos_problem):
     # a NaN compares false with 0 both ways, so a "lam < 0" guard lets it through
     g, samples, pen = cos_problem
     with pytest.raises(ValueError, match="must be >= 0"):
-        tr.solve(samples, g, 2, math.nan, pen)
+        tr.solve(samples, pen, math.nan)
     with pytest.raises(ValueError, match="must be >= 0"):
         tr.condition_number(math.nan, pen)
     with pytest.raises(ValueError, match="must be >= 0"):
@@ -56,24 +56,17 @@ def test_infinite_lambda_is_rejected(cos_problem, lam):
     # inf * beta**2 is NaN on the unpenalized constant mode
     g, samples, pen = cos_problem
     for call in (
-        lambda: tr.solve(samples, g, 2, lam, pen),
+        lambda: tr.solve(samples, pen, lam),
         lambda: tr.condition_number(lam, pen),
         lambda: tr.lebesgue_bound(lam, pen),
-        lambda: tr.residual_sq(samples, g, 2, pen, lam),
+        lambda: tr.residual_sq(samples, pen, lam),
     ):
         with pytest.raises(ValueError, match="must be (>= 0|finite), got -?inf"):
             call()
 
 
-def test_solve_penalty_degree_must_match(cos_problem):
-    g, samples, _ = cos_problem
-    with pytest.raises(ValueError):
-        tr.solve(samples, g, 2, 0.0, tr.laplace_penalty(3))
-
-
 def test_zero_data_gives_zero_function():
-    g = tr.make_grid(7)
-    approx = tr.solve(np.zeros(7), g, 3, 0.1, tr.laplace_penalty(3))
+    approx = tr.solve(np.zeros(7), tr.laplace_penalty(3), 0.1)
     assert np.linalg.norm(approx.values) == 0.0
     assert_allclose(approx(np.linspace(-3, 3, 5)), np.zeros(5))
 
@@ -81,26 +74,25 @@ def test_zero_data_gives_zero_function():
 def test_l2_norm_is_coefficient_norm(cos_problem):
     # orthonormal basis: the continuous norm equals the euclidean alpha norm
     g, samples, pen = cos_problem
-    approx = tr.solve(samples, g, 2, 0.0, pen)
+    approx = tr.solve(samples, pen, 0.0)
     assert np.linalg.norm(approx.values) == pytest.approx(math.sqrt(np.pi), rel=1e-13)
 
 
 def test_shrinkage_grows_with_lambda(cos_problem):
     g, samples, pen = cos_problem
-    norms = [np.linalg.norm(tr.solve(samples, g, 2, lam, pen).values) for lam in (0.0, 0.5, 1.0, 4.0)]
+    norms = [np.linalg.norm(tr.solve(samples, pen, lam).values) for lam in (0.0, 0.5, 1.0, 4.0)]
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
 def test_constant_mode_never_shrunk():
-    g = tr.make_grid(5)
     samples = np.full(5, 3.0)
-    approx = tr.solve(samples, g, 2, 100.0, tr.laplace_penalty(2))
+    approx = tr.solve(samples, tr.laplace_penalty(2), 100.0)
     assert_allclose(approx(np.array([0.4, -1.0])), [3.0, 3.0], rtol=1e-13)
 
 
 def test_evaluate_function_matches_call(cos_problem):
     g, samples, pen = cos_problem
-    approx = tr.solve(samples, g, 2, 0.3, pen)
+    approx = tr.solve(samples, pen, 0.3)
     x = np.linspace(-np.pi, np.pi, 6)
     assert_allclose(tr.evaluate(approx, x), approx(x))
 
@@ -157,7 +149,7 @@ def test_stability_constant_rejects_constant_form(cos_problem):
     with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
         tr.stability_constant(1.0, tr.PenaltySequence(2, np.ones(3)))
     with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
-        tr.solve(samples, g, 2, 1.0, tr.PenaltySequence(2, np.ones(3)))
+        tr.solve(samples, tr.PenaltySequence(2, np.ones(3)), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +173,6 @@ def test_lebesgue_bound_decreases_with_lambda():
 
 def test_operator_sup_norm_within_lebesgue_bound():
     """The realized sup of the smoothing operator stays below the bound."""
-    g = tr.make_grid(21)
     pen = tr.laplace_penalty(10)
     rng = np.random.default_rng(17)
     x = tr.uniform_eval_points(4096)
@@ -189,5 +180,5 @@ def test_operator_sup_norm_within_lebesgue_bound():
         bound = tr.lebesgue_bound(lam, pen)
         for _ in range(5):
             samples = rng.uniform(-1.0, 1.0, 21)
-            approx = tr.solve(samples, g, 10, lam, pen)
+            approx = tr.solve(samples, pen, lam)
             assert np.max(np.abs(approx(x))) <= bound * np.max(np.abs(samples)) + 1e-12

@@ -70,7 +70,7 @@ def test_approximate_manual_lambda(tmp_path, capsys):
 
     # coefficients must match a direct library solve
     g = tr.make_grid(21)
-    approx = tr.solve(tr.gallery("f1")(g.nodes), g, 10, 0.5, tr.laplace_penalty(10))
+    approx = tr.solve(tr.gallery("f1")(g.nodes), tr.laplace_penalty(10), 0.5)
     alpha = np.array([float(r[2]) for r in rows])
     assert_allclose(alpha, approx.values, rtol=1e-15)
 
@@ -96,7 +96,7 @@ def test_approximate_with_gcv_strategy(tmp_path, capsys):
     # the chosen lambda equals a direct strategy run on the same realization
     g = tr.make_grid(21)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 5).noisy
-    rep = tr.select_gcv(noisy, g, 10, tr.laplace_penalty(10), tr.parameter_grid())
+    rep = tr.select_gcv(noisy, tr.laplace_penalty(10), tr.parameter_grid())
     meta, _, _ = read_csv(tmp_path / "coefficients.csv")
     assert float(meta["chosen_lambda"]) == rep.chosen_lambda
 
@@ -246,6 +246,26 @@ def test_level_list_that_does_not_fit_is_config_error(tmp_path):
     assert (proc.returncode, proc.stderr) == (
         2, "error: config-error: --snr-db '0:1e9:1' names 1000000001 levels, more than fit in memory\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("approximate", "--gallery", "f1", "--n", "21", "--lambda", "0.1", "--eval-points", "1000000000000"),
+     "(1000000000000,)"),
+    (("select", "--gallery", "f1", "--n", "1000000000001", "--strategy", "gcv"), "(1000000000001,)"),
+    (("sweep", "--gallery", "f1", "--n", "21", "--snr-db", "20", "--eval-points", "1000000000000"),
+     "(1000000000000,)"),
+    (("select", "--gallery", "f1", "--n", "21", "--eval-points", "1000000000000", "--strategy", "oracle"),
+     "(1000000000000,)"),
+], ids=["approximate-eval-points", "select-n", "sweep-eval-points", "oracle-eval-points"])
+def test_size_that_does_not_fit_is_config_error(tmp_path, argv, shape):
+    # each used to end in numpy's _ArrayMemoryError traceback (exit 1), and
+    # approximate used to leave coefficients.csv behind
+    outdir = tmp_path / "out"
+    proc = _run_warnings_as_errors(*argv, "--output-dir", str(outdir), address_space=CHILD_ADDRESS_SPACE)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: config-error: the command does not fit in memory (Unable to allocate ")
+    assert f"shape {shape}" in proc.stderr and proc.stderr.count("\n") == 1
+    assert not outdir.exists()
 
 
 MISSING_FILE = ("--input", "missing.csv")
@@ -1000,5 +1020,5 @@ def test_no_command_builds_a_dense_basis(tmp_path, capsys, monkeypatch):
         ("sweep", "--gallery", "f1", "--n", "31", "--snr-db", "20,60"),
     ):
         assert run_cli(*argv, "--output-dir", str(tmp_path)) == 0
-    assert tr.grid.synthesize(tr.analyze(np.cos(g.nodes), g, 1), 0.3) == pytest.approx(math.cos(0.3))
+    assert tr.grid.synthesize(tr.analyze(np.cos(g.nodes), 1), 0.3) == pytest.approx(math.cos(0.3))
     assert len(calls) == 1  # the wrapper is live: only the explicit synthesize above

@@ -134,8 +134,8 @@ def test_reader_values_or_file_line_error(tmp_path, name):
     path = tmp_path / "samples.csv"
     path.write_bytes(text.encode())
     if error_line is None:
-        grid, samples = cli._read_samples_csv(str(path))
-        assert grid.n_points == 11
+        samples = cli._read_samples_csv(str(path))
+        assert samples.size == 11
         assert samples.tobytes() == VALUES.tobytes()
     else:
         with pytest.raises(cli.CliError) as info:

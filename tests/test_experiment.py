@@ -53,7 +53,7 @@ def test_noise_fields_are_consistent():
     assert real.seed == 2
     assert_allclose(real.clean + real.epsilon, real.noisy, rtol=0, atol=0)
     assert real.eps_sup == np.max(np.abs(real.epsilon))
-    assert real.eps_wnorm == pytest.approx(tr.weighted_norm(real.epsilon, g), rel=1e-14)
+    assert real.eps_wnorm == pytest.approx(tr.weighted_norm(real.epsilon), rel=1e-14)
 
 
 def test_noise_uses_seeded_generator_convention():
@@ -76,13 +76,12 @@ def test_higher_snr_means_smaller_noise():
 
 
 def test_error_metrics_on_zero_approximant():
-    g = tr.make_grid(7)
-    zero = tr.solve(np.zeros(7), g, 3, 0.0, tr.laplace_penalty(3))
+    zero = tr.solve(np.zeros(7), tr.laplace_penalty(3), 0.0)
     # ||0 - sin||_2 over the circle is sqrt(pi); sup is 1 (the dense
     # reference metrics the library's error curves are checked against)
     assert ref.l2_error(zero, np.sin) == pytest.approx(math.sqrt(np.pi), rel=1e-6)
     assert ref.uniform_error(zero, np.sin) == pytest.approx(1.0, rel=1e-6)
-    path = tr.RegularizationPath.from_samples(np.zeros(7), g, 3, tr.laplace_penalty(3), np.zeros(1))
+    path = tr.RegularizationPath.from_samples(np.zeros(7), tr.laplace_penalty(3), np.zeros(1))
     sine = np.sin(tr.uniform_eval_points(10000))
     assert path.l2_error(*tr.uniform_rfft(sine))[0] == pytest.approx(math.sqrt(np.pi), rel=1e-6)
     assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(sine), 10000)[0] == pytest.approx(
@@ -91,10 +90,8 @@ def test_error_metrics_on_zero_approximant():
 
 
 def test_error_metrics_validate_resolution():
-    g = tr.make_grid(7)
     with pytest.raises(ValueError, match=">= 1000"):
-        tr.select_oracle(np.zeros(7), g, 3, tr.laplace_penalty(3), tr.parameter_grid(t_max=5),
-                         np.sin, eval_points=999)
+        tr.select_oracle(np.zeros(7), tr.laplace_penalty(3), tr.parameter_grid(t_max=5), np.sin, eval_points=999)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 60, 77, 1000])
@@ -105,7 +102,7 @@ def test_error_curves_read_any_eval_grid(k):
     func = tr.gallery("f2")
     noisy = tr.add_noise_snr(func(g.nodes), 20.0, 5).noisy
     lambdas = tr.parameter_grid(q=0.5, t_max=20).lambdas
-    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(50), lambdas)
     x = tr.uniform_eval_points(k)
     diff = tr.basis_matrix(x, 50) @ path.alpha() - func(x)[:, None]
     truth = tr.uniform_rfft(func(x))
@@ -118,7 +115,7 @@ def test_error_curves_read_any_eval_grid(k):
 def test_perfect_reconstruction_has_tiny_error():
     g = tr.make_grid(31)
     f = tr.gallery("f1")
-    path = tr.RegularizationPath.from_samples(f(g.nodes), g, 15, tr.laplace_penalty(15), np.zeros(1))
+    path = tr.RegularizationPath.from_samples(f(g.nodes), tr.laplace_penalty(15), np.zeros(1))
     truth = f(tr.uniform_eval_points(10000))
     assert path.l2_error(*tr.uniform_rfft(truth))[0] < 1e-12
     assert tr.uniform_error_curve(path, path.lambdas, np.fft.rfft(truth), 10000)[0] < 1e-12
@@ -274,10 +271,10 @@ def test_sweep_rows_match_the_selectors():
         noisy = tr.add_noise_snr(clean, row.snr_db, row.row_seed)
         y = noisy.noisy
         expected = {
-            "morozov": tr.select_morozov(y, g, degree, pen, params, noisy.eps_wnorm, refine=False),
-            "lcurve": tr.select_lcurve(y, g, degree, pen, params),
-            "gcv": tr.select_gcv(y, g, degree, pen, params),
-            "oracle": tr.select_oracle(y, g, degree, pen, params, func, 2000),
+            "morozov": tr.select_morozov(y, pen, params, noisy.eps_wnorm, refine=False),
+            "lcurve": tr.select_lcurve(y, pen, params),
+            "gcv": tr.select_gcv(y, pen, params),
+            "oracle": tr.select_oracle(y, pen, params, func, 2000),
         }
         for name, report in expected.items():
             assert row.reports[name].chosen_index == report.chosen_index, (row.snr_db, name)
@@ -306,9 +303,7 @@ def _sweep_path(func, n, params, row):
     """The regularization path ``sweep`` built for ``row`` on n points (default s)."""
     grid, degree = tr.make_grid(n), (n - 1) // 2
     noisy = tr.add_noise_snr(func(grid.nodes), row.snr_db, row.row_seed).noisy
-    return tr.RegularizationPath.from_samples(
-        noisy, grid, degree, tr.laplace_penalty(degree), params.lambdas
-    )
+    return tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(degree), params.lambdas)
 
 
 @pytest.mark.parametrize("name", tr.gallery_names())
@@ -395,13 +390,13 @@ def test_sweep_rows_keep_what_run_strategies_returned(monkeypatch):
 def _small_path():
     g = tr.make_grid(21)
     noisy = tr.add_noise_snr(np.exp(np.cos(g.nodes)), 20.0, 0).noisy
-    return tr.RegularizationPath.from_samples(noisy, g, 10, tr.laplace_penalty(10), tr.parameter_grid().lambdas)
+    return tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(10), tr.parameter_grid().lambdas)
 
 
 # one builder per frozen type that holds an ndarray
 ARRAY_HOLDING_TYPES = {
     "TrapezoidalGrid": lambda: tr.make_grid(5),
-    "FourierCoefficients": lambda: tr.solve(np.ones(5), tr.make_grid(5), 2, 0.1, tr.laplace_penalty(2)),
+    "FourierCoefficients": lambda: tr.solve(np.ones(5), tr.laplace_penalty(2), 0.1),
     "PenaltySequence": lambda: tr.laplace_penalty(3),
     "ParameterGrid": tr.parameter_grid,
     "RegularizationPath": _small_path,
@@ -431,7 +426,7 @@ def f1_row():
     g, degree = tr.make_grid(501), 250
     lambdas = tr.parameter_grid().lambdas
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 11).noisy
-    return tr.RegularizationPath.from_samples(noisy, g, degree, tr.laplace_penalty(degree), lambdas), lambdas
+    return tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(degree), lambdas), lambdas
 
 
 def _f1_spectrum(k):
@@ -473,13 +468,13 @@ def test_worker_count_is_capped_by_cores_and_blocks(monkeypatch):
 def test_uniform_curve_matches_dense_reference(cores, monkeypatch):
     # every lambda solved on its own and evaluated point by point
     monkeypatch.setattr(experiment, "_USABLE_CORES", cores)
-    g, degree, k = tr.make_grid(21), 10, 10_000
+    g, k = tr.make_grid(21), 10_000
     func, pen = tr.gallery("square"), tr.laplace_penalty(10)
     noisy = tr.add_noise_snr(func(g.nodes), 20.0, 4).noisy
     lambdas = tr.parameter_grid(t_max=40).lambdas
-    path = tr.RegularizationPath.from_samples(noisy, g, degree, pen, lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, pen, lambdas)
     curve = tr.uniform_error_curve(path, lambdas, np.fft.rfft(func(tr.uniform_eval_points(k))), k)
-    expected = [ref.uniform_error(tr.solve(noisy, g, degree, lam, pen), func, k) for lam in lambdas]
+    expected = [ref.uniform_error(tr.solve(noisy, pen, lam), func, k) for lam in lambdas]
     assert_allclose(curve, expected, rtol=0, atol=1e-12)
 
 

@@ -62,8 +62,8 @@ def test_hand_built_penalty_matches_laplace():
     assert_allclose(pen.beta, tr.laplace_penalty(2).beta, rtol=0, atol=0)
     g = tr.make_grid(5)
     samples = np.cos(g.nodes) + np.sin(2 * g.nodes)
-    assert np.array_equal(tr.solve(samples, g, 2, 0.7, pen).values,
-                          tr.solve(samples, g, 2, 0.7, tr.laplace_penalty(2)).values)
+    assert np.array_equal(tr.solve(samples, pen, 0.7).values,
+                          tr.solve(samples, tr.laplace_penalty(2), 0.7).values)
 
 
 @pytest.mark.parametrize("beta", [

@@ -25,8 +25,8 @@ def single_mode():
     return g, np.cos(g.nodes), tr.laplace_penalty(2, 1.0)
 
 
-def _path(samples, grid, degree, penalty, *lambdas):
-    return tr.RegularizationPath.from_samples(samples, grid, degree, penalty, np.array(lambdas))
+def _path(samples, penalty, *lambdas):
+    return tr.RegularizationPath.from_samples(samples, penalty, np.array(lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +83,20 @@ def test_grid_validation(kwargs, msg):
 
 def test_single_mode_hand_values(single_mode):
     g, samples, pen = single_mode
-    path = _path(samples, g, 2, pen, 1.0, 0.0)
-    assert tr.residual_sq(samples, g, 2, pen, 1.0) == pytest.approx(np.pi / 4, rel=1e-13)
+    path = _path(samples, pen, 1.0, 0.0)
+    assert tr.residual_sq(samples, pen, 1.0) == pytest.approx(np.pi / 4, rel=1e-13)
     assert path.residual_sq()[0] == pytest.approx(np.pi / 4, rel=1e-13)
     assert path.penalty_sq()[0] == pytest.approx(np.pi / 4, rel=1e-13)
     assert path.penalty_sq_prime()[0] == pytest.approx(-np.pi / 4, rel=1e-13)
     assert path.penalty_sq()[1] == pytest.approx(np.pi, rel=1e-13)
-    assert tr.residual_sq(samples, g, 2, pen, 0.0) == pytest.approx(0.0, abs=1e-25)
+    assert tr.residual_sq(samples, pen, 0.0) == pytest.approx(0.0, abs=1e-25)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.3, 2.0, 50.0])
 def test_single_mode_residual_closed_form(single_mode, lam):
     g, samples, pen = single_mode
     expected = np.pi * (lam / (1 + lam)) ** 2
-    assert tr.residual_sq(samples, g, 2, pen, lam) == pytest.approx(expected, rel=1e-12)
+    assert tr.residual_sq(samples, pen, lam) == pytest.approx(expected, rel=1e-12)
 
 
 def test_residual_matches_literal_node_sum():
@@ -106,9 +106,9 @@ def test_residual_matches_literal_node_sum():
     samples = np.sin(2 * g.nodes) + 0.1 * rng.standard_normal(9)
     pen = tr.laplace_penalty(4)
     for lam in (0.0, 0.2, 1.7):
-        approx = tr.solve(samples, g, 4, lam, pen)
+        approx = tr.solve(samples, pen, lam)
         brute = g.weight * np.sum((approx(g.nodes) - samples) ** 2)
-        assert tr.residual_sq(samples, g, 4, pen, lam) == pytest.approx(brute, abs=1e-14)
+        assert tr.residual_sq(samples, pen, lam) == pytest.approx(brute, abs=1e-14)
 
 
 def test_residual_matches_literal_node_sum_off_interpolation():
@@ -118,19 +118,19 @@ def test_residual_matches_literal_node_sum_off_interpolation():
     samples = np.exp(np.cos(g.nodes)) + np.sign(np.sin(g.nodes)) + 0.1 * rng.standard_normal(31)
     pen = tr.laplace_penalty(6)
     params = tr.parameter_grid(t_max=60)
-    path = tr.RegularizationPath.from_samples(samples, g, 6, pen, params.lambdas)
-    fit = tr.solve(samples, g, 6, 0.0, pen)
+    path = tr.RegularizationPath.from_samples(samples, pen, params.lambdas)
+    fit = tr.solve(samples, pen, 0.0)
     assert path.r0 == pytest.approx(g.weight * np.sum((fit(g.nodes) - samples) ** 2), rel=1e-13)
     assert path.r0 > 0.1
     for lam in (0.0, 0.03, 0.2, 1.7, 40.0):
-        approx = tr.solve(samples, g, 6, lam, pen)
+        approx = tr.solve(samples, pen, lam)
         brute = g.weight * np.sum((approx(g.nodes) - samples) ** 2)
-        assert tr.residual_sq(samples, g, 6, pen, lam) == pytest.approx(brute, rel=1e-13)
+        assert tr.residual_sq(samples, pen, lam) == pytest.approx(brute, rel=1e-13)
     # the path scan gives the same values as the one-lambda function
     j_scan = path.residual_sq()
     for k in (0, 17, 59):
         lam = params.lambdas[k]
-        assert j_scan[k] == pytest.approx(tr.residual_sq(samples, g, 6, pen, lam), rel=1e-14)
+        assert j_scan[k] == pytest.approx(tr.residual_sq(samples, pen, lam), rel=1e-14)
 
 
 @pytest.mark.parametrize("n_points", [101, 4097])
@@ -143,7 +143,7 @@ def test_path_scan_matches_whole_path_formulas(n_points):
     samples = tr.add_noise_snr(tr.gallery("square")(g.nodes), 30.0, 4).noisy
     pen = tr.laplace_penalty(degree)
     lambdas = tr.parameter_grid(t_max=397).lambdas
-    path = tr.RegularizationPath.from_samples(samples, g, degree, pen, lambdas)
+    path = tr.RegularizationPath.from_samples(samples, pen, lambdas)
     square = tr.gallery("square")(tr.uniform_eval_points(10000))
     truth, remainder = tr.uniform_projection(square, degree)
 
@@ -162,9 +162,8 @@ def test_path_scan_matches_whole_path_formulas(n_points):
 
 
 def test_path_interpolatory_remainder_is_exactly_zero():
-    g = tr.make_grid(13)
     samples = np.random.default_rng(1).standard_normal(13)
-    path = _path(samples, g, 6, tr.laplace_penalty(6), 0.5)
+    path = _path(samples, tr.laplace_penalty(6), 0.5)
     assert path.r0 == 0.0
     assert path.residual_sq(0.0) == 0.0
     assert isinstance(path.residual_sq(0.0), float)
@@ -177,9 +176,9 @@ def test_morozov_upper_bound_is_mean_residual_norm(degree):
     interpolatory (L = 50) and non-interpolatory (L = 20) grids alike."""
     g = tr.make_grid(101)
     samples = np.exp(np.cos(g.nodes)) + 2.0 + np.random.default_rng(9).standard_normal(101)
-    path = _path(samples, g, degree, tr.laplace_penalty(degree), 0.5)
+    path = _path(samples, tr.laplace_penalty(degree), 0.5)
     lower, upper = path.discrepancy_bounds()
-    assert upper == pytest.approx(tr.weighted_norm(samples - np.mean(samples), g), rel=1e-12)
+    assert upper == pytest.approx(tr.weighted_norm(samples - np.mean(samples)), rel=1e-12)
     assert lower == math.sqrt(path.r0)
 
 
@@ -191,21 +190,49 @@ def test_selectors_reject_non_finite_samples(bad):
     pen, params = tr.laplace_penalty(5), tr.parameter_grid(t_max=20)
     for select in (tr.select_lcurve, tr.select_gcv):
         with pytest.raises(ValueError, match="finite"):
-            select(samples, g, 5, pen, params)
+            select(samples, pen, params)
     with pytest.raises(ValueError, match="finite"):
-        tr.select_morozov(samples, g, 5, pen, params, 0.1)
+        tr.select_morozov(samples, pen, params, 0.1)
+
+
+# Every entry point that takes samples reads N from them and L from the
+# penalty, and refuses what make_grid refuses (not 1-d, N even or below 3)
+# and a penalty degree with 2L + 1 > N.
+SAMPLE_ENTRY_POINTS = {
+    "from_samples": lambda y, pen: tr.RegularizationPath.from_samples(y, pen, tr.parameter_grid().lambdas),
+    "solve": lambda y, pen: tr.solve(y, pen, 0.1),
+    "residual_sq": lambda y, pen: tr.residual_sq(y, pen, 0.1),
+    "analyze": lambda y, pen: tr.analyze(y, pen.degree),
+    "select_morozov": lambda y, pen: tr.select_morozov(y, pen, tr.parameter_grid(), 0.1),
+    "select_lcurve": lambda y, pen: tr.select_lcurve(y, pen, tr.parameter_grid()),
+    "select_gcv": lambda y, pen: tr.select_gcv(y, pen, tr.parameter_grid()),
+    "select_oracle": lambda y, pen: tr.select_oracle(y, pen, tr.parameter_grid(), np.cos, eval_points=1000),
+}
+BAD_SAMPLES = {
+    "2-d": (np.ones((5, 1)), 2, r"expected a 1-d vector of samples, got shape \(5, 1\)"),
+    "even": (np.ones(6), 2, "need an odd number >= 3 of samples, got 6"),
+    "fewer-than-3": (np.ones(1), 0, "need an odd number >= 3 of samples, got 1"),
+    "degree-too-high": (np.ones(5), 3, "degree 3 too high for 5 nodes"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SAMPLES))
+@pytest.mark.parametrize("entry", list(SAMPLE_ENTRY_POINTS))
+def test_every_entry_point_refuses_bad_samples(entry, case):
+    samples, degree, message = BAD_SAMPLES[case]
+    with pytest.raises(ValueError, match=message):
+        SAMPLE_ENTRY_POINTS[entry](samples, tr.laplace_penalty(degree))
 
 
 def test_exchange_identity_between_derivatives():
     """-lam*K' equals J' = sum 2*lam*beta**4/(1 + lam*beta**2)**3 * c**2,
     the derivative of J summed mode by mode."""
-    g = tr.make_grid(11)
     rng = np.random.default_rng(8)
     samples = rng.standard_normal(11)
     pen = tr.laplace_penalty(5, 1.5)
     lams = np.array([0.01, 0.5, 3.0])
-    path = tr.RegularizationPath.from_samples(samples, g, 5, pen, lams)
-    c, b_sq = tr.analyze(samples, g, 5).values, pen.beta[tr.mode_layout(5)[0]] ** 2
+    path = tr.RegularizationPath.from_samples(samples, pen, lams)
+    c, b_sq = tr.analyze(samples, 5).values, pen.beta[tr.mode_layout(5)[0]] ** 2
     for lam, kp in zip(lams, path.penalty_sq_prime()):
         jp = float(np.sum(2 * lam * b_sq**2 / (1 + lam * b_sq) ** 3 * c**2))
         assert jp == pytest.approx(-lam * kp, rel=1e-13)
@@ -214,15 +241,15 @@ def test_exchange_identity_between_derivatives():
 def test_diagnostics_reject_constant_form_penalty(single_mode):
     g, samples, _ = single_mode
     with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
-        tr.residual_sq(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), 1.0)
+        tr.residual_sq(samples, tr.PenaltySequence(2, np.ones(3)), 1.0)
     with pytest.raises(ValueError, match=r"zero weight on the constant mode, got beta\[0\] = 1.0$"):
-        tr.solve(samples, g, 2, 1.0, tr.PenaltySequence(2, np.ones(3)))
+        tr.solve(samples, tr.PenaltySequence(2, np.ones(3)), 1.0)
 
 
 def test_diagnostics_reject_negative_lambda(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match=">= 0"):
-        tr.residual_sq(samples, g, 2, pen, -1.0)
+        tr.residual_sq(samples, pen, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +261,7 @@ def test_curvature_single_mode_hand_value():
     # at lam = 1: rho = eta = pi/4, eta' = -pi/4, and the log-log curve has
     # curvature -1/(2*sqrt(2)) there
     g = tr.make_grid(5)
-    kappa = _path(np.cos(g.nodes), g, 2, tr.laplace_penalty(2), 1.0).curvature()[0]
+    kappa = _path(np.cos(g.nodes), tr.laplace_penalty(2), 1.0).curvature()[0]
     assert kappa == pytest.approx(-1 / (2 * math.sqrt(2)), rel=1e-13)
 
 
@@ -243,7 +270,7 @@ def test_curvature_matches_finite_difference(single_mode):
     g, samples, pen = single_mode
     for lam in (0.2, 1.0, 5.0):
         h = 1e-4 * lam
-        path = _path(samples, g, 2, pen, lam - h, lam, lam + h)
+        path = _path(samples, pen, lam - h, lam, lam + h)
         u0, u1, u2 = np.log(path.residual_sq())
         v0, v1, v2 = np.log(path.penalty_sq())
         du = (u2 - u0) / (2 * h)
@@ -256,7 +283,7 @@ def test_curvature_matches_finite_difference(single_mode):
 
 def test_lcurve_picks_maximum_curvature(single_mode):
     g, samples, pen = single_mode
-    rep = tr.select_lcurve(samples, g, 2, pen, tr.parameter_grid())
+    rep = tr.select_lcurve(samples, pen, tr.parameter_grid())
     assert rep.strategy == "lcurve"
     assert rep.chosen_index == int(np.argmax(rep.objective))
     assert rep.chosen_lambda == rep.lambdas[rep.chosen_index]
@@ -264,9 +291,8 @@ def test_lcurve_picks_maximum_curvature(single_mode):
 
 @pytest.mark.parametrize("data", [np.zeros(5), np.full(5, 3.0)])
 def test_lcurve_refuses_degenerate_signal(data):
-    g = tr.make_grid(5)
     with pytest.raises(tr.InapplicableStrategyError, match="constant mode"):
-        tr.select_lcurve(data, g, 2, tr.laplace_penalty(2), tr.parameter_grid())
+        tr.select_lcurve(data, tr.laplace_penalty(2), tr.parameter_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +303,7 @@ def test_lcurve_refuses_degenerate_signal(data):
 def test_morozov_single_mode_analytic_root(single_mode):
     # J(lam) = pi*(lam/(1+lam))^2 crosses noise^2 = pi/4 exactly at lam = 1
     g, samples, pen = single_mode
-    rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.sqrt(np.pi) / 2)
+    rep = tr.select_morozov(samples, pen, tr.parameter_grid(), math.sqrt(np.pi) / 2)
     assert rep.strategy == "morozov"
     assert rep.refined
     assert rep.chosen_lambda == pytest.approx(1.0, abs=1e-8)
@@ -286,7 +312,7 @@ def test_morozov_single_mode_analytic_root(single_mode):
 def test_morozov_unrefined_stays_on_grid(single_mode):
     g, samples, pen = single_mode
     params = tr.parameter_grid()
-    rep = tr.select_morozov(samples, g, 2, pen, params, math.sqrt(np.pi) / 2, refine=False)
+    rep = tr.select_morozov(samples, pen, params, math.sqrt(np.pi) / 2, refine=False)
     assert not rep.refined
     assert rep.chosen_lambda in params.lambdas
     # the unrefined pick is the first grid value with nonpositive discrepancy
@@ -298,7 +324,7 @@ def test_morozov_discrepancy_has_one_sign_change(single_mode):
     # noise^2 = J(0.4) = pi*(0.4/1.4)^2 puts the root at lam = 0.4, strictly
     # between two grid values
     g, samples, pen = single_mode
-    rep = tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), 2 * math.sqrt(np.pi) / 7)
+    rep = tr.select_morozov(samples, pen, tr.parameter_grid(), 2 * math.sqrt(np.pi) / 7)
     signs = np.sign(rep.objective)
     assert np.sum(np.diff(signs) != 0) == 1
     assert rep.chosen_lambda == pytest.approx(0.4, abs=1e-8)
@@ -307,9 +333,9 @@ def test_morozov_discrepancy_has_one_sign_change(single_mode):
 def test_morozov_zero_noise_pushes_to_grid_floor(single_mode):
     g, samples, pen = single_mode
     params = tr.parameter_grid()
-    rep = tr.select_morozov(samples, g, 2, pen, params, 0.0, refine=False)
+    rep = tr.select_morozov(samples, pen, params, 0.0, refine=False)
     assert rep.chosen_index == params.t_max - 1
-    refined = tr.select_morozov(samples, g, 2, pen, params, 0.0)
+    refined = tr.select_morozov(samples, pen, params, 0.0)
     assert refined.chosen_lambda <= params.lambdas[-1]
 
 
@@ -335,9 +361,9 @@ def test_morozov_bracket_cases(f1_row, grid_args, noise, index, refined, chosen)
     g, samples, pen, eps_wnorm = f1_row
     params = tr.parameter_grid(**grid_args)
     noise = eps_wnorm if noise is None else noise
-    rep = tr.select_morozov(samples, g, 50, pen, params, noise)
+    rep = tr.select_morozov(samples, pen, params, noise)
     assert (rep.chosen_index, rep.refined, repr(rep.chosen_lambda)) == (index, refined, chosen)
-    grid_pick = tr.select_morozov(samples, g, 50, pen, params, noise, refine=False)
+    grid_pick = tr.select_morozov(samples, pen, params, noise, refine=False)
     assert grid_pick.chosen_index == index and grid_pick.chosen_lambda == params.lambdas[index]
     upper = params.lambdas[index - 1] if index else params.zeta0
     if rep.objective[index] > 0:  # no crossing
@@ -357,8 +383,8 @@ def test_morozov_reports_violated_assumption(single_mode):
     params = tr.parameter_grid()
     # noise claimed larger than the centered signal norm: no root can exist
     with pytest.raises(tr.InapplicableStrategyError, match=f"^{MOROZOV_VIOLATED}$"):
-        tr.select_morozov(samples, g, 2, pen, params, 100.0)
-    path = tr.RegularizationPath.from_samples(samples, g, 2, pen, params.lambdas)
+        tr.select_morozov(samples, pen, params, 100.0)
+    path = tr.RegularizationPath.from_samples(samples, pen, params.lambdas)
     reports, failures = tr.run_strategies(path, params, ["morozov", "lcurve"], noise_norm=100.0)
     assert list(reports) == ["lcurve"]
     assert failures == {"morozov": MOROZOV_VIOLATED}
@@ -367,26 +393,26 @@ def test_morozov_reports_violated_assumption(single_mode):
     g = tr.make_grid(11)
     samples = np.cos(g.nodes) + 0.5 * np.sin(4 * g.nodes)
     with pytest.raises(tr.InapplicableStrategyError, match=f"^{MOROZOV_VIOLATED}$"):
-        tr.select_morozov(samples, g, 2, tr.laplace_penalty(2), params, 1e-8)
+        tr.select_morozov(samples, tr.laplace_penalty(2), params, 1e-8)
 
 
 def test_morozov_requires_nonnegative_noise(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise"):
-        tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), -1.0)
+        tr.select_morozov(samples, pen, tr.parameter_grid(), -1.0)
 
 
 def test_morozov_refuses_infinite_noise_norm(single_mode):
     # it used to return a report with no chosen lambda and assumption_ok=False
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be finite, got inf"):
-        tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.inf)
+        tr.select_morozov(samples, pen, tr.parameter_grid(), math.inf)
 
 
 def test_run_strategies_refuses_infinite_noise_norm(single_mode):
     g, samples, pen = single_mode
     params = tr.parameter_grid()
-    path = tr.RegularizationPath.from_samples(samples, g, 2, pen, params.lambdas)
+    path = tr.RegularizationPath.from_samples(samples, pen, params.lambdas)
     with pytest.raises(ValueError, match="noise norm must be finite, got inf"):
         tr.run_strategies(path, params, ["morozov"], noise_norm=math.inf)
 
@@ -398,13 +424,13 @@ def test_run_strategies_refuses_a_path_over_other_lambdas():
     g = tr.make_grid(101)
     real = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0)
     pen, params = tr.laplace_penalty(50), tr.parameter_grid()
-    path = tr.RegularizationPath.from_samples(real.noisy, g, 50, pen, params.lambdas)
+    path = tr.RegularizationPath.from_samples(real.noisy, pen, params.lambdas)
     names = ["morozov", "lcurve", "gcv"]
     with pytest.raises(ValueError, match=r"^the path does not run over params\.lambdas"):
         tr.run_strategies(path, tr.parameter_grid(zeta0=1e-3), names, noise_norm=real.eps_wnorm)
     # an equal grid built apart is the same grid
     reports, _ = tr.run_strategies(path, tr.parameter_grid(), names, noise_norm=real.eps_wnorm)
-    assert reports["gcv"].chosen_lambda == tr.select_gcv(real.noisy, g, 50, pen, params).chosen_lambda
+    assert reports["gcv"].chosen_lambda == tr.select_gcv(real.noisy, pen, params).chosen_lambda
     assert reports["gcv"].chosen_lambda == pytest.approx(1.95e-3, rel=1e-2)
 
 
@@ -421,7 +447,7 @@ def test_every_report_keeps_the_objective_it_ranked(f1_row, zero_noise):
     g, samples, pen, eps_wnorm = f1_row
     noise = 0.0 if zero_noise else eps_wnorm
     params = tr.parameter_grid()
-    path = tr.RegularizationPath.from_samples(samples, g, 50, pen, params.lambdas)
+    path = tr.RegularizationPath.from_samples(samples, pen, params.lambdas)
     truth = tr.uniform_rfft(tr.gallery("f1")(tr.uniform_eval_points(1000)))
     reports, failures = tr.run_strategies(path, params, list(tr.STRATEGIES), noise_norm=noise, truth=truth)
     assert failures == {} and list(reports) == list(tr.STRATEGIES)
@@ -440,9 +466,9 @@ def test_every_report_keeps_the_objective_it_ranked(f1_row, zero_noise):
 def test_nan_noise_norm_and_lambda_are_rejected(single_mode):
     g, samples, pen = single_mode
     with pytest.raises(ValueError, match="noise norm must be >= 0"):
-        tr.select_morozov(samples, g, 2, pen, tr.parameter_grid(), math.nan)
+        tr.select_morozov(samples, pen, tr.parameter_grid(), math.nan)
     with pytest.raises(ValueError, match="must be >= 0"):
-        tr.residual_sq(samples, g, 2, pen, math.nan)
+        tr.residual_sq(samples, pen, math.nan)
 
 
 def test_exhaustion_error_is_a_selection_error():
@@ -458,21 +484,21 @@ def test_gcv_trace_hand_value(single_mode):
     # sum over modes of lam*beta^2/(1+lam*beta^2) = 2*(1/2) + 2*(4/5) = 2.6;
     # on an interpolatory grid V = J / trace**2
     g, samples, pen = single_mode
-    path = _path(samples, g, 2, pen, 1.0)
+    path = _path(samples, pen, 1.0)
     assert math.sqrt(path.residual_sq()[0] / path.gcv()[0]) == pytest.approx(2.6, rel=1e-14)
 
 
 def test_gcv_value_hand_value(single_mode):
     g, samples, pen = single_mode
     # numerator (pi/4) over trace 2.6 squared
-    assert _path(samples, g, 2, pen, 1.0).gcv()[0] == pytest.approx((np.pi / 4) / 6.76, rel=1e-13)
+    assert _path(samples, pen, 1.0).gcv()[0] == pytest.approx((np.pi / 4) / 6.76, rel=1e-13)
 
 
 def test_gcv_value_matches_explicit_matrices(single_mode):
     """The shortcut equals the defining quotient assembled from matrices."""
     g, samples, pen = single_mode
     lams = (0.3, 1.0, 4.0)
-    closed_scores = _path(samples, g, 2, pen, *lams).gcv()
+    closed_scores = _path(samples, pen, *lams).gcv()
     mat = tr.basis_matrix(g.nodes, 2)
     w = np.eye(5) * g.weight
     b_sq = np.diag(pen.beta[tr.mode_layout(2)[0]] ** 2)
@@ -487,11 +513,11 @@ def test_gcv_value_matches_explicit_matrices(single_mode):
 
 def test_select_gcv_minimizes_score(single_mode):
     g, samples, pen = single_mode
-    rep = tr.select_gcv(samples, g, 2, pen, tr.parameter_grid())
+    rep = tr.select_gcv(samples, pen, tr.parameter_grid())
     assert rep.strategy == "gcv"
     assert rep.chosen_index == int(np.argmin(rep.objective))
     # V = sum (w*c)**2 / (sum w)**2 with w = lam*beta**2/(1 + lam*beta**2)
-    c, b_sq = tr.analyze(samples, g, 2).values, pen.beta[tr.mode_layout(2)[0]] ** 2
+    c, b_sq = tr.analyze(samples, 2).values, pen.beta[tr.mode_layout(2)[0]] ** 2
     weight = np.outer(rep.lambdas[:5], b_sq) / (1 + np.outer(rep.lambdas[:5], b_sq))
     want = ((weight * c) ** 2).sum(axis=1) / weight.sum(axis=1) ** 2
     assert_allclose(rep.objective[:5], want, rtol=1e-13)
@@ -510,23 +536,21 @@ def test_select_gcv_on_a_hyperinterpolation_grid_minimizes_the_explicit_quotient
         hat = g.weight * mat @ np.linalg.solve(gram, mat.T)
         resid = sqrt_w * (hat @ noisy - noisy)
         explicit.append(float(resid @ resid) / float(np.trace(np.eye(21) - hat)) ** 2)
-    rep = tr.select_gcv(noisy, g, 5, pen, params)
+    rep = tr.select_gcv(noisy, pen, params)
     assert_allclose(rep.objective, explicit, rtol=1e-12)
     assert rep.chosen_index == int(np.argmin(explicit))
     assert 0 < rep.chosen_index < params.t_max - 1
 
 
 def test_select_gcv_refuses_zero_data():
-    g = tr.make_grid(5)
     with pytest.raises(tr.InapplicableStrategyError, match="zero"):
-        tr.select_gcv(np.zeros(5), g, 2, tr.laplace_penalty(2), tr.parameter_grid())
+        tr.select_gcv(np.zeros(5), tr.laplace_penalty(2), tr.parameter_grid())
 
 
 def test_select_gcv_refuses_constant_data():
     # the penalized coefficients of constant samples are roundoff relics
-    g = tr.make_grid(11)
     with pytest.raises(tr.InapplicableStrategyError, match="zero"):
-        tr.select_gcv(np.full(11, 2.5), g, 5, tr.laplace_penalty(5), tr.parameter_grid())
+        tr.select_gcv(np.full(11, 2.5), tr.laplace_penalty(5), tr.parameter_grid())
 
 
 @pytest.mark.filterwarnings("error")  # as under python -W error
@@ -535,9 +559,9 @@ def test_steep_penalty_curvature_is_finite():
     g = tr.make_grid(1001)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
     pen, params = tr.laplace_penalty(500, 40.0), tr.parameter_grid()
-    rep = tr.select_lcurve(noisy, g, 500, pen, params)
+    rep = tr.select_lcurve(noisy, pen, params)
     assert rep.objective.size == 400 and np.isfinite(rep.objective).all()
-    path = tr.RegularizationPath.from_samples(noisy, g, 500, pen, params.lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, pen, params.lambdas)
     assert np.isfinite(path.curvature()).all() and np.isfinite(path.penalty_sq()).all()
 
 
@@ -548,11 +572,11 @@ def test_selectors_refuse_a_non_finite_objective():
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
     deep = tr.parameter_grid(q=0.5, t_max=1000)  # down to 9.3e-302: J and the trace underflow
     with pytest.raises(tr.InapplicableStrategyError, match="curvature is not finite at 640 of 1000"):
-        tr.select_lcurve(noisy, g, 50, tr.laplace_penalty(50), deep)
+        tr.select_lcurve(noisy, tr.laplace_penalty(50), deep)
     with pytest.raises(tr.InapplicableStrategyError, match="GCV score is not finite at 447 of 1000"):
-        tr.select_gcv(noisy, g, 50, tr.laplace_penalty(50), deep)
+        tr.select_gcv(noisy, tr.laplace_penalty(50), deep)
     params = tr.parameter_grid(t_max=10)
-    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), params.lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(50), params.lambdas)
     truth = (np.full(501, complex(math.nan)), 1000)
     reports, failures = tr.run_strategies(path, params, ["oracle"], truth=truth)
     assert reports == {}
@@ -566,7 +590,7 @@ def test_lcurve_refuses_an_infinite_curvature():
     g = tr.make_grid(21)
     samples = np.exp(np.cos(g.nodes)) + np.sign(np.sin(g.nodes))
     lambdas = np.array([1e-3, 1e-200])
-    path = tr.RegularizationPath.from_samples(samples, g, 5, tr.laplace_penalty(5), lambdas)
+    path = tr.RegularizationPath.from_samples(samples, tr.laplace_penalty(5), lambdas)
     assert path.r0 > 0.1
     assert np.isfinite(path.curvature()[0]) and path.curvature()[1] == math.inf
     params = tr.ParameterGrid(zeta0=1.0, q=1e-3, t_max=2, lambdas=lambdas)
@@ -584,9 +608,7 @@ def test_path_matches_the_mode_wise_reference(n_points, s):
     g = tr.make_grid(n_points)
     degree = (n_points - 1) // 2
     noisy = tr.add_noise_snr(tr.gallery("square")(g.nodes), 30.0, n_points).noisy
-    path = tr.RegularizationPath.from_samples(
-        noisy, g, degree, tr.laplace_penalty(degree, s), tr.parameter_grid().lambdas
-    )
+    path = tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(degree, s), tr.parameter_grid().lambdas)
     beta_sq = path.beta_sq[tr.mode_layout(degree)[0]]  # the reference sums mode by mode
     want = ref.path_diagnostics(path.coeffs, beta_sq, path.lambdas, path.r0)
     assert_allclose(path.residual_sq(), want["J"], rtol=1e-12, atol=0)
@@ -604,7 +626,7 @@ def test_overflowing_lambda_beta_sq_has_the_limit_factors():
     g = tr.make_grid(101)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
     lambdas = np.array([1e305, 1e300, 1.0])
-    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(50), lambdas)
     beta_sq = np.arange(51.0) ** 2
     with np.errstate(over="ignore"):
         scaled = np.multiply.outer(lambdas, beta_sq)
@@ -622,7 +644,7 @@ def test_overflowing_lambda_beta_sq_has_the_limit_factors():
     assert np.all(np.isfinite(path.curvature())) and np.all(np.isfinite(path.gcv()))
     alpha = path.alpha(1e305)
     assert np.all(alpha[overflowed[0][tr.mode_layout(50)[0]]] == 0.0) and alpha[0] == path.coeffs[0]
-    approx = tr.solve(noisy, g, 50, 1e305, tr.laplace_penalty(50))
+    approx = tr.solve(noisy, tr.laplace_penalty(50), 1e305)
     assert np.array_equal(approx.values, path.alpha(1e305))
 
 
@@ -633,7 +655,7 @@ def test_penalty_sq_prime_on_lambdas_whose_square_overflows():
     g = tr.make_grid(101)
     noisy = tr.add_noise_snr(tr.gallery("f1")(g.nodes), 20.0, 0).noisy
     lambdas = np.geomspace(1e200, 1.0, 50)
-    path = tr.RegularizationPath.from_samples(noisy, g, 50, tr.laplace_penalty(50), lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, tr.laplace_penalty(50), lambdas)
     k_prime = path.penalty_sq_prime()
     assert k_prime[0] == 0.0 and np.all(k_prime <= 0.0)
     with np.errstate(all="ignore"):  # the reference's kappa squares lam
@@ -653,13 +675,13 @@ def test_oracle_minimizes_true_error():
     noisy = tr.add_noise_snr(clean, 20.0, 4).noisy
     pen = tr.laplace_penalty(10)
     params = tr.parameter_grid()
-    rep = tr.select_oracle(noisy, g, 10, pen, params, tr.gallery("f1"), eval_points=2000)
+    rep = tr.select_oracle(noisy, pen, params, tr.gallery("f1"), eval_points=2000)
     assert rep.strategy == "oracle"
     assert rep.objective.shape == params.lambdas.shape
     assert rep.chosen_index == int(np.argmin(rep.objective))
     # spot-check the tabulated error curve against the standalone metric
     k = rep.chosen_index
-    approx = tr.solve(noisy, g, 10, params.lambdas[k], pen)
+    approx = tr.solve(noisy, pen, params.lambdas[k])
     assert rep.objective[k] == pytest.approx(ref.l2_error(approx, tr.gallery("f1"), 2000), rel=1e-12)
 
 
@@ -671,9 +693,9 @@ def test_oracle_curve_matches_dense_l2_error(eval_points):
     noisy = tr.add_noise_snr(f(g.nodes), 30.0, 9).noisy
     pen = tr.laplace_penalty(50)
     params = tr.parameter_grid()
-    rep = tr.select_oracle(noisy, g, 50, pen, params, f, eval_points=eval_points)
+    rep = tr.select_oracle(noisy, pen, params, f, eval_points=eval_points)
     for k in (0, 40, rep.chosen_index, 250, 399):
-        approx = tr.solve(noisy, g, 50, params.lambdas[k], pen)
+        approx = tr.solve(noisy, pen, params.lambdas[k])
         dense = ref.l2_error(approx, f, eval_points)
         assert rep.objective[k] == pytest.approx(dense, rel=1e-10)
 
@@ -688,12 +710,12 @@ def test_oracle_reads_an_eval_grid_below_the_degree(eval_points):
     noisy = tr.add_noise_snr(f(g.nodes), 30.0, 3).noisy
     pen = tr.laplace_penalty(600)
     params = tr.parameter_grid(q=0.5, t_max=40)
-    rep = tr.select_oracle(noisy, g, 600, pen, params, f, eval_points=eval_points)
-    approximants = [tr.solve(noisy, g, 600, lam, pen) for lam in params.lambdas]
+    rep = tr.select_oracle(noisy, pen, params, f, eval_points=eval_points)
+    approximants = [tr.solve(noisy, pen, lam) for lam in params.lambdas]
     dense = np.array([ref.l2_error(approx, f, eval_points) for approx in approximants])
     assert_allclose(rep.objective, dense, rtol=1e-12)
     assert rep.chosen_index == int(np.argmin(dense))
-    path = tr.RegularizationPath.from_samples(noisy, g, 600, pen, params.lambdas)
+    path = tr.RegularizationPath.from_samples(noisy, pen, params.lambdas)
     truth = tr.uniform_rfft(f(tr.uniform_eval_points(eval_points)))
     expected = [ref.uniform_error(approx, f, eval_points) for approx in approximants]
     assert_allclose(tr.uniform_error_curve(path, params.lambdas, *truth), expected, rtol=0, atol=1e-12)
@@ -703,11 +725,11 @@ def test_selection_rejects_constant_form_penalty_everywhere(single_mode):
     g, samples, _ = single_mode
     params = tr.parameter_grid(t_max=10)
     for call in (
-        lambda: tr.select_lcurve(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params),
-        lambda: tr.select_morozov(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params, 0.1),
-        lambda: tr.select_gcv(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params),
-        lambda: tr.select_oracle(samples, g, 2, tr.PenaltySequence(2, np.ones(3)), params, np.cos),
-        lambda: tr.solve(samples, g, 2, 0.5, tr.PenaltySequence(2, np.ones(3))),
+        lambda: tr.select_lcurve(samples, tr.PenaltySequence(2, np.ones(3)), params),
+        lambda: tr.select_morozov(samples, tr.PenaltySequence(2, np.ones(3)), params, 0.1),
+        lambda: tr.select_gcv(samples, tr.PenaltySequence(2, np.ones(3)), params),
+        lambda: tr.select_oracle(samples, tr.PenaltySequence(2, np.ones(3)), params, np.cos),
+        lambda: tr.solve(samples, tr.PenaltySequence(2, np.ones(3)), 0.5),
     ):
         with pytest.raises(ValueError, match="zero weight on the constant mode"):
             call()
